@@ -38,7 +38,6 @@ from . import units
 from .errors import (
     AtpgError,
     DftError,
-    FlowCancelled,
     LibraryError,
     MappingError,
     NetlistError,
@@ -51,7 +50,6 @@ from .errors import (
 __all__ = [
     "AtpgError",
     "DftError",
-    "FlowCancelled",
     "LibraryError",
     "MappingError",
     "NetlistError",

@@ -36,9 +36,6 @@ Usage::
     python -m repro atpg s298 --trace run.json  # structured run trace
     python -m repro trace run.json              # validate a written trace
 
-    python -m repro serve --port 8765         # ATPG job daemon
-    python -m repro loadtest s298 --clients 4 # service latency/throughput
-
 See ``python -m repro lint --help`` (and ``docs/lint.md``) for rule
 selection, baselines and output formats; ``python -m repro bench
 --help`` (and ``docs/performance.md``) for the benchmark harness;
@@ -143,14 +140,6 @@ def main(argv: List[str] | None = None) -> int:
         from .obs import trace_main
 
         return trace_main(argv[1:])
-    if argv and argv[0] == "serve":
-        from .serve import serve_main
-
-        return serve_main(argv[1:])
-    if argv and argv[0] == "loadtest":
-        from .serve import loadtest_main
-
-        return loadtest_main(argv[1:])
 
     parser = argparse.ArgumentParser(
         prog="repro",

@@ -173,8 +173,14 @@ def _optimize_one_ff(netlist: Netlist, ff: str, library: Library) -> int:
         )
         remaining = set(_unique_comb_fanout(netlist, ff)) - {inv_new}
         netlist.redirect_fanout(ff, inv_orig, only=remaining)
-        # Re-size both inverters for the fanout they now carry.
-        for inv in (inv_new, inv_orig):
+        resized = [inv_new]
+        if remaining or inv_orig in protected:
+            resized.append(inv_orig)
+        else:
+            # Every sink was an inverter: INV_orig would drive nothing.
+            netlist.remove_gate(inv_orig)
+        # Re-size the surviving inverters for the fanout they now carry.
+        for inv in resized:
             drive = inverter_drive_for_fanout(len(netlist.fanout(inv)))
             netlist.replace_gate(
                 netlist.gate(inv).with_cell(

@@ -46,15 +46,6 @@ class AtpgError(ReproError):
     """Test generation failed in an unexpected way (not mere untestability)."""
 
 
-class FlowCancelled(ReproError):
-    """An ATPG flow run was cancelled cooperatively mid-flight.
-
-    Raised from the flow's own cancellation checkpoints when the
-    caller-supplied ``should_cancel`` callback returns true (the serve
-    layer's job cancellation path).  The pool is left quiet -- in-flight
-    speculative searches are retired before the raise propagates."""
-
-
 class DftError(ReproError):
     """A design-for-test transform was applied to an unsuitable netlist."""
 

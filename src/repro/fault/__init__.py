@@ -28,8 +28,6 @@ from .backends import (
     resolve_batch_faults,
     select_backend,
     select_batch_faults,
-    wide_min_gates,
-    wide_min_patterns,
 )
 from .collapse import (
     collapse_stuck,
@@ -91,8 +89,6 @@ __all__ = [
     "resolve_batch_faults",
     "select_backend",
     "select_batch_faults",
-    "wide_min_gates",
-    "wide_min_patterns",
     "AtpgFlow",
     "AtpgFlowConfig",
     "AtpgFlowResult",

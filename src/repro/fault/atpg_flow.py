@@ -68,10 +68,10 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
-from ..errors import FlowCancelled, SimulationError
-from ..netlist import Netlist, content_hash
+from ..errors import SimulationError
+from ..netlist import Netlist
 from ..obs import get_recorder
 from .backends import podem_portfolio, resolve_batch_faults
 from .collapse import collapse_stuck, dominance_collapse_stuck
@@ -253,77 +253,20 @@ class AtpgFlow:
         # predecessor's requests.
         self._respawned: set = set()
         self._input_nets = list(netlist.inputs) + list(netlist.state_inputs)
-        self._should_cancel: Optional[Callable[[], bool]] = None
 
     # ------------------------------------------------------------------
-    def _check_cancel(self) -> None:
-        """Raise :class:`~repro.errors.FlowCancelled` when asked to.
-
-        Checked at every phase-1 batch boundary, before every serial
-        phase-2 target, and on every parallel-coordinator iteration, so
-        a cancel lands within one unit of work; the parallel path's
-        drain (exception-safe) retires in-flight speculation before the
-        raise escapes the phase.
-        """
-        cancel = self._should_cancel
-        if cancel is not None and cancel():
-            get_recorder().event("atpg.cancelled", cat="atpg",
-                                 circuit=self.netlist.name)
-            raise FlowCancelled(
-                f"ATPG flow for {self.netlist.name} cancelled"
-            )
-
-    def _check_external_pool(self, pool: ShardedFaultSimulator) -> None:
-        """Reject a warm pool that could change results.
-
-        Byte-identity of warm-pool runs versus cold runs relies on the
-        pool being *the same machine* the config describes: same worker
-        count (phase-2 speculation windows are sized from it) and the
-        same netlist (shard contents are netlist-relative).
-        """
-        if pool.processes != self.config.processes:
-            raise SimulationError(
-                f"external pool has processes={pool.processes}, "
-                f"config wants {self.config.processes}"
-            )
-        if (pool.netlist is not self.netlist
-                and content_hash(pool.netlist)
-                != content_hash(self.netlist)):
-            raise SimulationError(
-                f"external pool was built for {pool.netlist.name!r}, "
-                f"not {self.netlist.name!r}"
-            )
-
-    def run(self, faults: Optional[Sequence[StuckFault]] = None, *,
-            pool: Optional[ShardedFaultSimulator] = None,
-            should_cancel: Optional[Callable[[], bool]] = None,
+    def run(self, faults: Optional[Sequence[StuckFault]] = None,
             ) -> AtpgFlowResult:
         """Run both phases over ``faults``.
 
         With ``faults`` omitted the equivalence-collapsed full stuck-at
         list of the netlist is used (the set coverage experiments report
         over).
-
-        ``pool`` lends the flow an already-started
-        :class:`~repro.fault.sharded.ShardedFaultSimulator` instead of
-        forking a private one -- the serve daemon's warm-pool reuse.
-        The pool must match the config (worker count, netlist); it is
-        reset to fresh-start-equivalent state
-        (:meth:`~repro.fault.sharded.ShardedFaultSimulator.reset_session`)
-        before and left loaded-but-quiet after, and the caller keeps
-        ownership (the flow never closes it).  Results are bit-identical
-        to a private-pool run.
-
-        ``should_cancel`` is polled at the flow's cancellation
-        checkpoints; returning true raises
-        :class:`~repro.errors.FlowCancelled` after retiring any
-        in-flight speculative work.
         """
         if faults is None:
             faults = collapse_stuck(self.netlist,
                                     all_stuck_faults(self.netlist))
         faults = list(faults)
-        self._should_cancel = should_cancel
         result = AtpgFlowResult(n_faults=len(faults), status={},
                                 detected_via={})
         rec = get_recorder()
@@ -351,38 +294,26 @@ class AtpgFlow:
         with rec.span("atpg.run", cat="atpg", circuit=self.netlist.name,
                       n_faults=len(faults),
                       processes=self.config.processes):
-            if pool is not None:
-                self._check_external_pool(pool)
-                pool.reset_session()
-                self._run_phases(active, result, pool, rec)
-            else:
-                with ShardedFaultSimulator(
-                        self.netlist,
-                        self.config.processes,
-                        backend=self.config.backend,
-                        batch_faults=self.config.batch_faults,
-                        ) as own_pool:
-                    self._run_phases(active, result, own_pool, rec)
+            with ShardedFaultSimulator(self.netlist,
+                                       self.config.processes,
+                                       backend=self.config.backend,
+                                       batch_faults=self.config.batch_faults,
+                                       ) as pool:
+                pool.load_faults(active)
+                with rec.span("atpg.phase1_random", cat="atpg",
+                              circuit=self.netlist.name):
+                    self._random_phase(result, pool)
+                survivors = pool.active_faults
+                rec.event("atpg.phase_boundary", cat="atpg",
+                          circuit=self.netlist.name,
+                          detected_random=len(result.detected_via),
+                          survivors=len(survivors),
+                          patterns_simulated=result.n_random_simulated)
+                with rec.span("atpg.phase2_podem", cat="atpg",
+                              circuit=self.netlist.name,
+                              survivors=len(survivors)):
+                    self._podem_phase(survivors, result, pool)
         return result
-
-    def _run_phases(self, active: List[StuckFault],
-                    result: AtpgFlowResult,
-                    pool: ShardedFaultSimulator, rec) -> None:
-        """Both phases against one (owned or borrowed) started pool."""
-        pool.load_faults(active)
-        with rec.span("atpg.phase1_random", cat="atpg",
-                      circuit=self.netlist.name):
-            self._random_phase(result, pool)
-        survivors = pool.active_faults
-        rec.event("atpg.phase_boundary", cat="atpg",
-                  circuit=self.netlist.name,
-                  detected_random=len(result.detected_via),
-                  survivors=len(survivors),
-                  patterns_simulated=result.n_random_simulated)
-        with rec.span("atpg.phase2_podem", cat="atpg",
-                      circuit=self.netlist.name,
-                      survivors=len(survivors)):
-            self._podem_phase(survivors, result, pool)
 
     # ------------------------------------------------------------------
     def _random_phase(self, result: AtpgFlowResult,
@@ -404,7 +335,6 @@ class AtpgFlow:
         while (pool.n_active
                and result.n_random_simulated < config.n_random_patterns
                and idle < config.max_idle_batches):
-            self._check_cancel()
             n = min(config.batch_size,
                     config.n_random_patterns - result.n_random_simulated)
             words = {net: rng.getrandbits(n) for net in nets}
@@ -608,7 +538,6 @@ class AtpgFlow:
         for fault in order:
             if result.status.get(fault) in ("detected", "untestable"):
                 continue
-            self._check_cancel()
             calls = 0
             backtracks = 0
             atpg: Optional[AtpgResult] = None
@@ -739,7 +668,6 @@ class AtpgFlow:
                       policies=len(policies)):
             try:
                 while commit_idx < n:
-                    self._check_cancel()
                     # 1. Commit everything the completed results allow,
                     #    in strict target order.
                     progressed = True
@@ -859,10 +787,10 @@ class AtpgFlow:
                         idle.append(worker_id)
                     idle.sort()
             except BaseException:
-                # Cancellation (FlowCancelled) or any coordinator
-                # failure: the primary exception wins, but the pool
-                # must still end the phase quiet -- a best-effort
-                # drain, its own failures recorded rather than raised.
+                # Any coordinator failure (or Ctrl-C): the primary
+                # exception wins, but the pool must still end the
+                # phase quiet -- a best-effort drain, its own failures
+                # recorded rather than raised.
                 try:
                     drain()
                 except Exception as exc:
@@ -895,9 +823,8 @@ def flow_artifact(circuit: str, config: AtpgFlowConfig,
     trailing newline) capturing everything the flow produced: the full
     test set, per-fault status/via maps *in commit order* (the order is
     itself part of the determinism contract), and the scalar summary.
-    The batch CLI (``atpg --artifact``) and the serve daemon's
-    ``/jobs/<id>/artifact`` endpoint both emit exactly these bytes, so
-    "served run == batch run" is a byte comparison, not a semantic one.
+    ``atpg --artifact`` writes exactly these bytes, so "two runs agree"
+    is a byte comparison, not a semantic one.
     """
     payload = {
         "schema": ARTIFACT_SCHEMA,
@@ -980,9 +907,8 @@ def atpg_main(argv: Optional[List[str]] = None) -> int:
                         help="emit one JSON object per circuit")
     parser.add_argument("--artifact", metavar="FILE", default=None,
                         help="write the canonical byte-exact run "
-                             "artifact (single circuit only); the serve "
-                             "daemon emits identical bytes for the same "
-                             "circuit and config")
+                             "artifact (single circuit only); identical "
+                             "bytes for the same circuit and config")
     add_trace_argument(parser)
     args = parser.parse_args(argv)
 

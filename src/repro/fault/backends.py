@@ -34,8 +34,6 @@ kernels.
 
 from __future__ import annotations
 
-import os
-
 from typing import Optional, Tuple, Union
 
 from ..errors import SimulationError
@@ -45,7 +43,6 @@ BACKEND_INT = "int"
 BACKEND_NUMPY = "numpy"
 
 #: ``auto`` engages the wide backend only past one word of patterns.
-#: Overridable per-process via ``REPRO_WIDE_MIN_PATTERNS``.
 WIDE_MIN_PATTERNS = 65
 
 #: ... and only on circuits with at least this many evaluated gates.
@@ -53,7 +50,6 @@ WIDE_MIN_PATTERNS = 65
 #: 0.3-0.9x on every catalog circuit (s5378 0.31x, s38417 0.90x,
 #: s38584 1.07x) and only pulls ahead decisively on the synthetic
 #: stress circuits (3.6x at 58k gates, 8x at 207k, 4096 patterns).
-#: Overridable per-process via ``REPRO_WIDE_MIN_GATES``.
 WIDE_MIN_GATES = 25_000
 
 #: Sentinel for "size the fault batch from circuit stats".
@@ -70,39 +66,6 @@ WIDE_MAX_BATCH_FAULTS = 64
 WIDE_BATCH_BUDGET_WORDS = 16_000_000
 
 _NUMPY_AVAILABLE: Optional[bool] = None
-
-
-def _env_int(env_name: str, default: int) -> int:
-    """``default`` or a validated positive-int override from ``os.environ``.
-
-    Garbage (non-integers, zero, negatives) raises a loud
-    :class:`~repro.errors.SimulationError` naming the variable -- a
-    mistyped override must never silently re-tune the crossover.
-    """
-    raw = os.environ.get(env_name)
-    if raw is None or raw.strip() == "":
-        return default
-    try:
-        value = int(raw.strip())
-    except ValueError:
-        raise SimulationError(
-            f"invalid {env_name}={raw!r}: must be a positive integer"
-        ) from None
-    if value < 1:
-        raise SimulationError(
-            f"invalid {env_name}={raw!r}: must be a positive integer"
-        )
-    return value
-
-
-def wide_min_patterns() -> int:
-    """Effective ``auto`` pattern-count crossover (env-overridable)."""
-    return _env_int("REPRO_WIDE_MIN_PATTERNS", WIDE_MIN_PATTERNS)
-
-
-def wide_min_gates() -> int:
-    """Effective ``auto`` gate-count crossover (env-overridable)."""
-    return _env_int("REPRO_WIDE_MIN_GATES", WIDE_MIN_GATES)
 
 
 def numpy_available() -> bool:
@@ -165,9 +128,9 @@ def select_backend(name: Optional[str], n_patterns: int,
     """
     name = BACKEND_AUTO if name is None else name
     if name == BACKEND_AUTO:
-        if n_patterns < wide_min_patterns():
+        if n_patterns < WIDE_MIN_PATTERNS:
             return BACKEND_INT
-        if n_gates is not None and n_gates < wide_min_gates():
+        if n_gates is not None and n_gates < WIDE_MIN_GATES:
             return BACKEND_INT
     return resolve_backend(name)
 

@@ -260,9 +260,6 @@ class FaultSimulator:
                     break
         return detected
 
-    # Backward-compatible alias (pre-flow internal name).
-    _detect_stuck_arr = detect_stuck_arr
-
     def detect_stuck_many(self, faults: Sequence[StuckFault],
                           good: Sequence[int], mask: int,
                           early_exit: bool = False,

@@ -212,9 +212,6 @@ class _WorkerSession:
                                                    per content hash)
       ``("podem", req_id, fault, policy)``         run one PODEM search
       ``("cancel", req_id)``                       abandon that search
-      ``("ping", req_id)``                         sync barrier: replies
-                                                   once everything before
-                                                   it has been handled
       ``("die",)``                                 crash on purpose (test
                                                    hook for the respawn
                                                    path)
@@ -298,12 +295,6 @@ class _WorkerSession:
                 if drop:
                     self.active = [f for f in self.active if f not in hits]
                 self.conn.send(("ok", req_id, hits, len(self.active)))
-            elif kind == "ping":
-                # Pipes are FIFO, so this reply proves every earlier
-                # request has been fully handled -- the parent's
-                # session-reset barrier.
-                req_id = msg[1]
-                self.conn.send(("ok", req_id, None, len(self.active)))
             elif kind == "podem":
                 req_id = msg[1]
                 self._podem(msg)
@@ -1012,68 +1003,6 @@ class ShardedFaultSimulator:
             self.restart_worker(worker_id)
             restarted.append(worker_id)
         return restarted
-
-    # -- job boundaries (daemon / multi-job reuse) ---------------------
-    @property
-    def swallowed_errors(self) -> int:
-        """Deliberately-swallowed error count recorded so far.
-
-        Reads the active recorder's ``pool.swallowed_errors`` counter;
-        the serve layer's drain contract requires this to be 0 before a
-        warm pool may be handed to the next job.
-        """
-        return get_recorder().counter("pool.swallowed_errors")
-
-    def reset_session(self) -> None:
-        """Restore the warm pool to fresh-start-equivalent state.
-
-        The job boundary for pool reuse across ATPG runs (the serve
-        daemon's warm-pool contract):
-
-        1. respawn any dead workers (a respawn alone re-handshakes and
-           clears that worker's guidance/mailbox);
-        2. clear the session fault list everywhere (``load []``);
-        3. run a **ping barrier** per worker -- pipes are FIFO, so the
-           ping reply proves every earlier request (including a
-           cancelled speculative PODEM search's final reply) has been
-           handled and answered;
-        4. drop any stale stashed replies from the finished job.
-
-        After this, the only state distinguishing the pool from a
-        freshly started one is the installed SCOAP guidance -- which is
-        content-hash keyed and idempotent (:meth:`ensure_guidance`), so
-        it cannot leak between netlists or alter results.  That is the
-        determinism argument for warm reuse: a job run on a reset pool
-        is bit-identical to the same job on a cold pool.
-        """
-        self._ensure_started()
-        self._active = []
-        if self._serial is not None:
-            return
-        self.recover_workers()
-        barriers: List[Tuple[int, int]] = []
-        for worker_id in range(len(self._workers)):
-            self._send(worker_id, ("load", []))
-            req_id = next(self._req_ids)
-            self._send(worker_id, ("ping", req_id))
-            barriers.append((worker_id, req_id))
-        for worker_id, req_id in barriers:
-            # _recv_reply stashes any straggler replies from the
-            # previous job that are still in flight ahead of the ping.
-            msg = self._recv_reply(worker_id, req_id,
-                                   timeout=self.request_timeout)
-            if msg[0] != "ok" or msg[1] != req_id:
-                raise SimulationError(
-                    f"shard worker {worker_id}: reset barrier desync "
-                    f"(got {msg[0]!r}, req {msg[1]!r} != {req_id})"
-                )
-        # Everything the previous job had in flight has now replied;
-        # whatever landed in the mailboxes belongs to no live request.
-        for stash in self._stash:
-            stash.clear()
-        get_recorder().event("pool.session_reset", cat="pool",
-                             circuit=self.netlist.name,
-                             processes=self.processes)
 
     def _round(self, payload: Tuple, drop: bool) -> Dict[StuckFault, int]:
         rec = get_recorder()

@@ -28,7 +28,6 @@ from .recorder import (
     NullRecorder,
     Recorder,
     get_recorder,
-    scoped_recorder,
     set_recorder,
     use_recorder,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "build_trace",
     "check_run",
     "get_recorder",
-    "scoped_recorder",
     "set_recorder",
     "trace_main",
     "trace_path_siblings",

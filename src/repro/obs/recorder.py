@@ -138,18 +138,11 @@ class Recorder:
     survive wall-clock adjustments.  Appends are guarded by a lock:
     the sharded pool and the parallel runner record from watcher loops
     that may share the recorder with the main thread.
-
-    ``on_event`` is an optional live-streaming hook: it is called with
-    each event record *after* it is appended (outside the lock, from
-    whichever thread recorded the event).  The ATPG service uses it to
-    feed per-job NDJSON progress streams straight from the recorder.
-    A hook that raises disables itself rather than corrupting the
-    instrumented code path.
     """
 
     enabled = True
 
-    def __init__(self, run_id: Optional[str] = None, on_event=None):
+    def __init__(self, run_id: Optional[str] = None):
         if run_id is None:
             # pid + wall-clock ms alone collide when a forked worker
             # and its parent (or two recorders in the same process)
@@ -158,7 +151,6 @@ class Recorder:
             run_id = (f"run-{os.getpid()}-{int(time.time() * 1000):x}"
                       f"-{os.urandom(4).hex()}")
         self.run_id = run_id
-        self.on_event = on_event
         self.started_unix = time.time()
         self._t0 = time.perf_counter()
         self._cpu0 = time.process_time()
@@ -166,18 +158,6 @@ class Recorder:
         self.events: List[Dict[str, object]] = []
         self.counters: Dict[str, int] = {}
         self.gauges: Dict[str, float] = {}
-
-    def _emit(self, record: Dict[str, object]) -> None:
-        """Invoke the live hook for one appended record (best effort)."""
-        hook = self.on_event
-        if hook is None:
-            return
-        try:
-            hook(record)
-        except Exception:
-            # A broken subscriber must never take the recorded run
-            # down; drop the hook so it cannot keep failing.
-            self.on_event = None
 
     # -- clock ---------------------------------------------------------
     def now_us(self) -> float:
@@ -208,7 +188,6 @@ class Recorder:
         }
         with self._lock:
             self.events.append(record)
-        self._emit(record)
 
     def warning(self, name: str, counter: Optional[str] = None,
                 **args) -> None:
@@ -243,7 +222,6 @@ class Recorder:
         }
         with self._lock:
             self.events.append(record)
-        self._emit(record)
 
     def span(self, name: str, cat: str = "span", **args) -> _Span:
         """Context manager timing a block as a complete trace event."""
@@ -278,58 +256,22 @@ class Recorder:
 
 
 # ----------------------------------------------------------------------
-# process-local active recorder (with optional per-thread scoping)
+# process-local active recorder
 # ----------------------------------------------------------------------
 _ACTIVE: "NullRecorder | Recorder" = NULL_RECORDER
 
-#: Thread-scoped override of the process default.  The ATPG service
-#: runs each job's flow in a worker thread with the job's private
-#: recorder installed here, so server-side instrumentation (the event
-#: loop, shutdown paths) keeps routing to the process default while
-#: the running job records into its own trace.
-_SCOPED = threading.local()
-
 
 def get_recorder():
-    """The active recorder: this thread's scoped one, else the process
-    default (a no-op unless one is installed)."""
-    scoped = getattr(_SCOPED, "recorder", None)
-    if scoped is not None:
-        return scoped
+    """The process's active recorder (a no-op unless one is installed)."""
     return _ACTIVE
 
 
 def set_recorder(recorder) -> object:
-    """Install the process-default ``recorder`` (``None`` = disable);
-    returns the previous default."""
+    """Install ``recorder`` (``None`` = disable); returns the previous."""
     global _ACTIVE
     previous = _ACTIVE
     _ACTIVE = recorder if recorder is not None else NULL_RECORDER
     return previous
-
-
-class scoped_recorder:
-    """Context manager installing a recorder for *this thread only*.
-
-    Unlike :func:`set_recorder` / :class:`use_recorder` (which swap the
-    process-wide default), the scope is thread-local: other threads --
-    and, after a fork from another thread, other processes -- keep
-    seeing the process default.  Scopes nest; ``None`` restores the
-    process default for the enclosed block.
-    """
-
-    def __init__(self, recorder):
-        self.recorder = recorder
-        self._previous = None
-
-    def __enter__(self):
-        self._previous = getattr(_SCOPED, "recorder", None)
-        _SCOPED.recorder = self.recorder
-        return self.recorder if self.recorder is not None else _ACTIVE
-
-    def __exit__(self, *exc_info) -> bool:
-        _SCOPED.recorder = self._previous
-        return False
 
 
 class use_recorder:

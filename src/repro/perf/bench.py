@@ -950,58 +950,6 @@ def bench_sta(quick: bool) -> List[Dict[str, object]]:
     }]
 
 
-def bench_serve_throughput(quick: bool) -> List[Dict[str, object]]:
-    """The ATPG daemon under concurrent load (warm-pool job server).
-
-    Spins up the real server in-process (:class:`repro.serve.LocalServer`)
-    and replays a catalog workload from concurrent closed-loop clients
-    via the shared load generator (:func:`repro.serve.run_loadtest`) --
-    submit, honor backpressure, wait, fetch the artifact.  The row's
-    ``seconds`` is the wall time to complete the whole job batch;
-    latency percentiles ride along in the note.  Hard-asserts zero
-    client errors and zero swallowed pool errors after the drain.
-    """
-    from ..serve import LocalServer, run_loadtest
-
-    name = "s298"
-    clients = 4
-    jobs_per_client = 2 if quick else 4
-    config = {"processes": 1,
-              "n_random_patterns": 64 if quick else 256}
-    with LocalServer(max_queue=32) as server:
-        report = run_loadtest(server.host, server.port, [name],
-                              clients=clients,
-                              jobs_per_client=jobs_per_client,
-                              config=config)
-    if report["errors"]:
-        raise AssertionError(
-            f"{name}: serve loadtest had {report['errors']} client "
-            f"errors: {report['error_samples']}"
-        )
-    swallowed = server.manager.swallowed_errors()
-    if swallowed:
-        raise AssertionError(
-            f"{name}: daemon drained with {swallowed} swallowed pool "
-            f"errors"
-        )
-    return [{
-        "kernel": "serve_throughput",
-        "circuit": name,
-        "n": report["completed"],
-        "seconds": report["wall_seconds"],
-        "clients": clients,
-        "throughput_jobs_per_s": report["throughput_jobs_per_s"],
-        "latency_p95_s": report["latency_p95_s"],
-        "note": (
-            f"{report['throughput_jobs_per_s']:.1f} jobs/s from "
-            f"{clients} clients, p50 "
-            f"{report['latency_p50_s'] * 1000:.0f}ms / p95 "
-            f"{report['latency_p95_s'] * 1000:.0f}ms / p99 "
-            f"{report['latency_p99_s'] * 1000:.0f}ms, 0 errors"
-        ),
-    }]
-
-
 def bench_tables(quick: bool) -> List[Dict[str, object]]:
     """The table 1-3 quick experiment flows, end to end."""
     circuits = QUICK_CIRCUITS
@@ -1031,7 +979,6 @@ KERNEL_GROUPS = (
     bench_atpg_parallel_podem,
     bench_atpg_analysis,
     bench_sta,
-    bench_serve_throughput,
     bench_tables,
 )
 

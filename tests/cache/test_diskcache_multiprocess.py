@@ -1,6 +1,6 @@
 """Concurrent multi-process hammer on one DiskCache namespace.
 
-The daemon's warm pools, the experiment runner's forked workers and
+The sharded pool's workers, the experiment runner's forked workers and
 plain parallel CLI invocations all share one persistent cache root, so
 ``put``/``get``/eviction must stay safe under real cross-process
 concurrency: a reader must only ever see a complete, self-consistent

@@ -36,8 +36,15 @@ class TestOptimizeFanout:
         )
         assert after <= before * 1.001 + 1e-15
 
-    def test_optimized_netlist_valid(self, s838_result):
-        _, result = s838_result
+    @pytest.mark.parametrize("circuit", ["s838", "s1423"])
+    def test_optimized_netlist_valid(self, circuit, s838_result):
+        # s1423 has flip-flops whose only combinational sinks are
+        # inverters, the reuse path's no-remaining-sinks corner.
+        if circuit == "s838":
+            _, result = s838_result
+        else:
+            scan = insert_scan(map_netlist(load_circuit(circuit)))
+            result = optimize_fanout(scan, n_vectors=30)
         validate(result.optimized.netlist)
 
     def test_logic_function_preserved(self, s838_result):

@@ -13,6 +13,7 @@ The two pinning suites here are the contract the perf work rests on:
   approximate) over workloads where neither side aborts.
 """
 
+import hashlib
 import json
 import random
 
@@ -296,55 +297,23 @@ class TestFlowArtifact:
             atpg_main(["s27", "s298", "--artifact", "/tmp/x.json"])
         capsys.readouterr()
 
+    #: SHA-256 of the default-config s298 artifact.  The serial and
+    #: sharded runs differ only in ``config.processes``; phase 2 of the
+    #: sharded run goes through the parallel PODEM coordinator.  Under
+    #: ``backend="auto"`` s298 runs on the int kernels, so the digests
+    #: hold with or without numpy and under any PYTHONHASHSEED.
+    ARTIFACT_SHA256 = {
+        1: "d312a9723308d0a197f1efa36082edf6a55d7776bb310d4433f535709945e970",
+        2: "3e059f97fabdafe4d22f0062a198659570de560d5045c04f5e78b51c57fa04d9",
+    }
 
-class TestCancellation:
-    def test_immediate_cancel_raises_flow_cancelled(self, s27_netlist):
-        from repro import FlowCancelled
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_s298_artifact_digest_is_pinned(self, processes):
+        from repro.fault import flow_artifact
 
-        flow = AtpgFlow(s27_netlist, AtpgFlowConfig(n_random_patterns=32))
-        with pytest.raises(FlowCancelled):
-            flow.run(should_cancel=lambda: True)
+        config = AtpgFlowConfig(processes=processes)
+        result = AtpgFlow(load_circuit("s298"), config).run()
+        digest = hashlib.sha256(
+            flow_artifact("s298", config, result)).hexdigest()
+        assert digest == self.ARTIFACT_SHA256[processes]
 
-    def test_cancel_event_is_recorded(self, s27_netlist):
-        from repro import FlowCancelled
-        from repro.obs import Recorder, use_recorder
-
-        rec = Recorder()
-        flow = AtpgFlow(s27_netlist, AtpgFlowConfig(n_random_patterns=32))
-        with use_recorder(rec):
-            with pytest.raises(FlowCancelled):
-                flow.run(should_cancel=lambda: True)
-        assert any(e["name"] == "atpg.cancelled" for e in rec.events)
-
-    def test_no_cancel_callback_runs_to_completion(self, s27_netlist):
-        result = AtpgFlow(
-            s27_netlist, AtpgFlowConfig(n_random_patterns=32)
-        ).run(should_cancel=None)
-        assert result.summary()["coverage"] == 1.0
-
-
-class TestExternalPool:
-    def test_reused_pool_matches_fresh_run(self, s27_netlist):
-        from repro.fault import ShardedFaultSimulator, flow_artifact
-
-        config = AtpgFlowConfig(processes=1, n_random_patterns=32)
-        fresh = flow_artifact(
-            "s27", config, AtpgFlow(load_circuit("s27"), config).run())
-        with ShardedFaultSimulator(
-                load_circuit("s27"), config.processes,
-                backend=config.backend,
-                batch_faults=config.batch_faults) as pool:
-            for _ in range(2):  # reuse across "jobs"
-                result = AtpgFlow(load_circuit("s27"), config).run(
-                    pool=pool)
-                assert flow_artifact("s27", config, result) == fresh
-
-    def test_mismatched_pool_is_rejected(self, s27_netlist,
-                                         s298_netlist):
-        from repro.errors import SimulationError
-        from repro.fault import ShardedFaultSimulator
-
-        config = AtpgFlowConfig(processes=1, n_random_patterns=32)
-        with ShardedFaultSimulator(s298_netlist, 1) as pool:
-            with pytest.raises(SimulationError):
-                AtpgFlow(s27_netlist, config).run(pool=pool)

@@ -30,8 +30,6 @@ from repro.fault.backends import (
     get_wide_engine,
     resolve_batch_faults,
     select_batch_faults,
-    wide_min_gates,
-    wide_min_patterns,
 )
 
 
@@ -109,50 +107,6 @@ class TestSelect:
 
         with pytest.raises(SimulationError, match="numpy is not"):
             get_wide_engine(compile_netlist(s27_netlist))
-
-
-class TestEnvOverrides:
-    """REPRO_WIDE_MIN_PATTERNS / REPRO_WIDE_MIN_GATES overrides."""
-
-    def test_defaults_without_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WIDE_MIN_PATTERNS", raising=False)
-        monkeypatch.delenv("REPRO_WIDE_MIN_GATES", raising=False)
-        assert wide_min_patterns() == WIDE_MIN_PATTERNS
-        assert wide_min_gates() == WIDE_MIN_GATES
-
-    def test_blank_env_is_ignored(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WIDE_MIN_PATTERNS", "  ")
-        assert wide_min_patterns() == WIDE_MIN_PATTERNS
-
-    def test_pattern_override_moves_crossover(self, with_numpy,
-                                              monkeypatch):
-        monkeypatch.setenv("REPRO_WIDE_MIN_PATTERNS", "10")
-        assert wide_min_patterns() == 10
-        assert select_backend("auto", 10) == "numpy"
-        assert select_backend("auto", 9) == "int"
-
-    def test_gate_override_moves_crossover(self, with_numpy, monkeypatch):
-        monkeypatch.setenv("REPRO_WIDE_MIN_GATES", "5")
-        assert wide_min_gates() == 5
-        assert select_backend("auto", WIDE_MIN_PATTERNS, 5) == "numpy"
-        assert select_backend("auto", WIDE_MIN_PATTERNS, 4) == "int"
-
-    @pytest.mark.parametrize("garbage", ["banana", "0", "-5", "1.5", "1e3"])
-    def test_garbage_override_raises_loudly(self, monkeypatch, garbage):
-        monkeypatch.setenv("REPRO_WIDE_MIN_PATTERNS", garbage)
-        with pytest.raises(SimulationError,
-                           match="REPRO_WIDE_MIN_PATTERNS"):
-            wide_min_patterns()
-        monkeypatch.setenv("REPRO_WIDE_MIN_GATES", garbage)
-        with pytest.raises(SimulationError, match="REPRO_WIDE_MIN_GATES"):
-            wide_min_gates()
-
-    def test_garbage_override_fails_selection_too(self, with_numpy,
-                                                  monkeypatch):
-        monkeypatch.setenv("REPRO_WIDE_MIN_PATTERNS", "garbage")
-        with pytest.raises(SimulationError,
-                           match="REPRO_WIDE_MIN_PATTERNS"):
-            select_backend("auto", 4096)
 
 
 class TestBatchFaults:

@@ -176,58 +176,6 @@ class TestSession:
             assert pool.active_faults == faults[3:]
 
 
-class TestResetSession:
-    """Job-boundary reuse: a reset pool must behave like a fresh one."""
-
-    def test_reset_clears_loaded_faults(self, s298_netlist):
-        faults = collapse_stuck(
-            s298_netlist, all_stuck_faults(s298_netlist)
-        )
-        with ShardedFaultSimulator(s298_netlist, processes=2) as pool:
-            pool.load_faults(faults)
-            pool.drop_faults(faults[:5])
-            pool.reset_session()
-            assert pool.n_active == 0
-            assert pool.active_faults == []
-
-    def test_rounds_after_reset_match_fresh_pool(self, s298_netlist):
-        faults = sampled_faults(s298_netlist)
-        words = words_for(s298_netlist, 16, seed=3)
-        with ShardedFaultSimulator(s298_netlist, processes=2) as pool:
-            pool.load_faults(faults)
-            first = pool.round_packed(words, 16, drop=True)
-            pool.reset_session()
-            pool.load_faults(faults)
-            again = pool.round_packed(words, 16, drop=True)
-        assert again == first
-
-    def test_reset_requires_a_started_pool(self, s27_netlist):
-        pool = ShardedFaultSimulator(s27_netlist, processes=2)
-        with pytest.raises(SimulationError):
-            pool.reset_session()
-
-    def test_reset_is_idempotent(self, s27_netlist):
-        with ShardedFaultSimulator(s27_netlist, processes=2) as pool:
-            pool.reset_session()
-            pool.reset_session()  # empty barrier: a no-op
-            faults = collapse_stuck(s27_netlist,
-                                    all_stuck_faults(s27_netlist))
-            pool.load_faults(faults)
-            assert pool.n_active == len(faults)
-
-    def test_serial_pool_reset_is_trivial(self, s27_netlist):
-        with ShardedFaultSimulator(s27_netlist, processes=1) as pool:
-            faults = collapse_stuck(s27_netlist,
-                                    all_stuck_faults(s27_netlist))
-            pool.load_faults(faults)
-            pool.reset_session()
-            assert pool.n_active == 0
-
-    def test_swallowed_errors_property_reads_counter(self, s27_netlist):
-        with ShardedFaultSimulator(s27_netlist, processes=2) as pool:
-            assert pool.swallowed_errors == 0
-
-
 class TestAtpgFlowParity:
     """processes=N must not change a single ATPG flow artifact."""
 
