@@ -8,12 +8,13 @@ algorithm":
 2. insert two cascaded inverters between each such flip-flop and its
    fanout gates, so the flip-flop drives exactly one first-level gate;
 3. never touch the critical path ("maximum circuit delay is kept
-   unaltered") -- each insertion is verified by STA and reverted if it
-   degrades the clock;
+   unaltered") -- each insertion is made on a copy of the netlist,
+   re-timed incrementally, and dropped if it degrades the clock;
 4. re-synthesize the second inverter with its fanout gates: inverters
    already hanging off the flip-flop are reused (then only one new
-   inverter is needed), and any inverter fed by the second inverter is
-   folded back onto the first.
+   inverter is needed; an inverter that is a primary output keeps its
+   polarity and is not reused), and any inverter fed by the second
+   inverter is folded back onto the first.
 
 The result can leave *fewer first-level gates than flip-flops* (the
 paper calls out s5378): optimized flip-flops contribute one gate each
@@ -35,7 +36,7 @@ from ..synth.resynth import (
     insert_buffer_pair,
     inverter_drive_for_fanout,
 )
-from ..timing import analyze, net_slacks
+from ..timing import timing_state
 from .flh import FlhConfig, flh_power_overlay, insert_flh
 from .overhead import total_area
 from .scan import insert_scan
@@ -92,6 +93,20 @@ def _unique_comb_fanout(netlist: Netlist, ff: str) -> List[str]:
     )
 
 
+def _reusable_inverters(netlist: Netlist, sinks: List[str]) -> List[str]:
+    """The inverters among ``sinks`` the reuse path may rewire.
+
+    Reuse turns ``INV_orig`` into ``NOT(INV_new)``, which flips its
+    value; that is only safe when every reader of it is moved onto
+    ``INV_new``, which a primary output cannot be.
+    """
+    outputs = set(netlist.outputs)
+    return [
+        s for s in sinks
+        if netlist.gate(s).func == "NOT" and s not in outputs
+    ]
+
+
 def _gating_pair_area(width_factor: float) -> float:
     header, footer = make_gating_pair(width_factor)
     return header.area + footer.area
@@ -142,7 +157,7 @@ def _estimated_gain(netlist: Netlist, ff: str, library: Library,
         if not any(f != ff and f in state_inputs for f in gate.fanin):
             leaving += 1
     inv_area = library.cell(library.for_func("NOT", 1).name).area
-    has_inverter = any(netlist.gate(s).func == "NOT" for s in sinks)
+    has_inverter = bool(_reusable_inverters(netlist, sinks))
     n_new_inverters = 1 if has_inverter else 2
     inv1_cost = keeper.area + _gating_pair_area(
         _inv1_width_factor(slack, library, flh_config)
@@ -153,20 +168,20 @@ def _estimated_gain(netlist: Netlist, ff: str, library: Library,
 def _optimize_one_ff(netlist: Netlist, ff: str, library: Library) -> int:
     """Buffer one flip-flop's fanout; returns inverters added (0-2)."""
     sinks = _unique_comb_fanout(netlist, ff)
-    inverters = [s for s in sinks if netlist.gate(s).func == "NOT"]
+    inverters = _reusable_inverters(netlist, sinks)
     inv_cell = library.for_func("NOT", 1).name
-    protected = set(netlist.outputs) | set(netlist.state_outputs)
 
     if inverters:
         # Reuse: FF -> INV_new -> INV_orig(= FF polarity) -> other sinks.
+        # Every reader of a reused inverter, a flip-flop data pin
+        # included, moves onto INV_new.
         inv_orig = inverters[0]
         inv_new = netlist.fresh_net(f"{ff}_n")
         netlist.add(inv_new, "NOT", (ff,), cell=inv_cell)
         # Duplicate inverters collapse onto INV_new.
         for extra in inverters[1:]:
             netlist.redirect_fanout(extra, inv_new)
-            if extra not in protected and not netlist.fanout(extra):
-                netlist.remove_gate(extra)
+            netlist.remove_gate(extra)
         netlist.redirect_fanout(inv_orig, inv_new)
         netlist.replace_gate(
             netlist.gate(inv_orig).with_fanin((inv_new,))
@@ -174,7 +189,7 @@ def _optimize_one_ff(netlist: Netlist, ff: str, library: Library) -> int:
         remaining = set(_unique_comb_fanout(netlist, ff)) - {inv_new}
         netlist.redirect_fanout(ff, inv_orig, only=remaining)
         resized = [inv_new]
-        if remaining or inv_orig in protected:
+        if remaining:
             resized.append(inv_orig)
         else:
             # Every sink was an inverter: INV_orig would drive nothing.
@@ -230,7 +245,7 @@ def optimize_fanout(scan_design: DftDesign,
         are considered (buffering a fanout-1 flip-flop cannot help).
     delay_tolerance:
         Relative slack on the original critical delay; any insertion
-        pushing past it is reverted.
+        pushing past it is dropped.
     """
     if scan_design.style != "scan":
         raise DftError("fanout optimization expects a plain scan design")
@@ -244,10 +259,10 @@ def optimize_fanout(scan_design: DftDesign,
     fl_before = len(first_level_gates(scan_design.netlist))
     power_before = combinational_power(flh_before, n_vectors, seed)
 
-    netlist = scan_design.netlist.copy(scan_design.netlist.name)
-    base_delay = analyze(netlist, library).critical_delay
-    limit = base_delay * (1.0 + delay_tolerance)
-    slacks = net_slacks(netlist, base_delay, library)
+    netlist = scan_design.netlist
+    timing = timing_state(netlist, library)
+    limit = timing.critical_delay * (1.0 + delay_tolerance)
+    slacks = timing.slacks(timing.critical_delay)
 
     gains = {
         ff: _estimated_gain(
@@ -274,11 +289,14 @@ def optimize_fanout(scan_design: DftDesign,
             netlist, ff, library, flh_config, slacks.get(ff, 0.0)
         ) <= 0.0:
             continue
-        snapshot = netlist.copy(netlist.name)
-        added = _optimize_one_ff(netlist, ff, library)
-        if analyze(netlist, library).critical_delay > limit:
-            netlist = snapshot  # revert: delay constraint violated
-            continue
+        # Edit a copy and re-time only what the edit moved; a rejected
+        # copy is simply dropped, so nothing needs undoing.
+        trial = netlist.copy(netlist.name)
+        added = _optimize_one_ff(trial, ff, library)
+        trial_timing = timing.retimed(trial)
+        if trial_timing.critical_delay > limit:
+            continue  # delay constraint violated
+        netlist, timing = trial, trial_timing
         buffers_added += added
         ffs_optimized += 1
 

@@ -34,7 +34,7 @@ from ..cells import Library, make_gating_pair
 from ..errors import DftError
 from ..netlist import first_level_gates
 from ..power.power_model import PowerOverlay
-from ..timing import DelayOverlay, analyze, load_on_net, net_slacks
+from ..timing import DelayOverlay, load_on_net, timing_state
 from .styles import DftDesign, FlhGating
 
 
@@ -111,8 +111,8 @@ def insert_flh(design: DftDesign,
         raise DftError(f"{netlist.name}: no first-level gates to gate")
 
     # Slack of each first-level gate on the *base* design.
-    base = analyze(netlist, library)
-    slacks = net_slacks(netlist, base.critical_delay, library)
+    timing = timing_state(netlist, library)
+    slacks = timing.slacks(timing.critical_delay)
     keeper_cap = keeper_load(library, config.keeper_cell)
 
     gating: Dict[str, FlhGating] = {}

@@ -19,11 +19,11 @@ import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..cells import Library, default_library
+from ..cells import Library
 from ..netlist import Netlist
 from ..power.logicsim import LogicSimulator
-from ..timing.delay_model import DelayOverlay, gate_delay
-from ..timing.sta import analyze
+from ..timing.delay_model import DelayOverlay
+from ..timing.sta import timing_state
 
 
 @dataclass(frozen=True)
@@ -58,17 +58,10 @@ def enumerate_critical_paths(netlist: Netlist,
     fanin with the largest remaining arrival; a bounded beam of partial
     paths yields the top-k without full enumeration.
     """
-    if library is None:
-        library = default_library()
-    report = analyze(netlist, library, overlay)
-    arrival = report.arrival
-    delays: Dict[str, float] = {}
-    for net in arrival:
-        gate = netlist.gate(net)
-        if gate.is_combinational:
-            delays[net] = gate_delay(netlist, library, net, overlay)
-        else:
-            delays[net] = 0.0
+    timing = timing_state(netlist, library, overlay)
+    arrival = timing.arrival
+    # Launch points (inputs, flip-flops) carry no gate delay.
+    delays = {net: timing.delay.get(net, 0.0) for net in arrival}
 
     ends = list(netlist.outputs) + list(netlist.state_outputs)
     # Heap of (-path_delay_so_far_plus_arrival_bound, counter, path_nets)

@@ -4,6 +4,7 @@ Public surface::
 
     from repro.timing import analyze, critical_delay, net_slacks
     from repro.timing import DelayOverlay, TimingReport
+    from repro.timing import TimingState, timing_state  # incremental re-timing
 """
 
 from .delay_model import (
@@ -14,7 +15,15 @@ from .delay_model import (
     gate_delay,
     load_on_net,
 )
-from .sta import TimingReport, analyze, critical_delay, net_slacks, required_times
+from .sta import (
+    TimingReport,
+    TimingState,
+    analyze,
+    critical_delay,
+    net_slacks,
+    required_times,
+    timing_state,
+)
 from .variation import VariationReport, monte_carlo_delay
 
 __all__ = [
@@ -22,6 +31,7 @@ __all__ = [
     "DelayOverlay",
     "SETUP_TIME",
     "TimingReport",
+    "TimingState",
     "VariationReport",
     "WIRE_CAP_PER_FANOUT",
     "monte_carlo_delay",
@@ -31,4 +41,5 @@ __all__ = [
     "load_on_net",
     "net_slacks",
     "required_times",
+    "timing_state",
 ]

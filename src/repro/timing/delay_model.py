@@ -74,11 +74,14 @@ def load_on_net(netlist: Netlist, library: Library, net: str,
 
     Sums the input capacitance of every sink cell (multiplicity counted:
     a gate taking the net on two pins loads it twice), wire capacitance
-    per connection, and any overlay capacitance.
+    per connection, and any overlay capacitance.  Sinks are summed in
+    name order, so the float result does not depend on set iteration
+    order (and hence not on ``PYTHONHASHSEED`` or a netlist's edit
+    history).
     """
     total = 0.0
     connections = 0
-    for sink_name in netlist.fanout(net):
+    for sink_name in sorted(netlist.fanout(net)):
         sink = netlist.gate(sink_name)
         multiplicity = sum(1 for f in sink.fanin if f == net)
         connections += multiplicity

@@ -17,10 +17,10 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..cells import Library, default_library
-from ..netlist import Netlist, topological_order
-from .delay_model import CLK_TO_Q, SETUP_TIME, DelayOverlay, gate_delay
-from .sta import analyze
+from ..cells import Library
+from ..netlist import Netlist
+from .delay_model import CLK_TO_Q, SETUP_TIME, DelayOverlay
+from .sta import timing_state
 
 
 @dataclass(frozen=True)
@@ -79,18 +79,15 @@ def monte_carlo_delay(netlist: Netlist,
     spread is typical of sub-100 nm nodes).  One topological pass per
     sample; gate base delays are computed once.
     """
-    if library is None:
-        library = default_library()
     rng = random.Random(seed)
-    order = topological_order(netlist)
-    base_delay: Dict[str, float] = {
-        name: gate_delay(netlist, library, name, overlay) for name in order
-    }
+    timing = timing_state(netlist, library, overlay)
+    order = timing.order
+    base_delay = timing.delay
     fanins = {name: netlist.gate(name).fanin for name in order}
     pos = tuple(netlist.outputs)
     state_outs = tuple(netlist.state_outputs)
 
-    nominal = analyze(netlist, library, overlay).critical_delay
+    nominal = timing.critical_delay
     samples: List[float] = []
     for _ in range(n_samples):
         arrival: Dict[str, float] = {net: 0.0 for net in netlist.inputs}

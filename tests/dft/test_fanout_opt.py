@@ -4,11 +4,27 @@ import pytest
 
 from repro.bench import load_circuit
 from repro.dft import insert_scan, optimize_fanout
+from repro.dft.fanout_opt import _optimize_one_ff
 from repro.errors import DftError
-from repro.netlist import first_level_gates, validate
+from repro.netlist import Netlist, content_hash, first_level_gates, validate
+from repro.perf.reference import ReferenceLogicSimulator
 from repro.power import LogicSimulator
 from repro.synth import map_netlist
 from repro.timing import critical_delay
+
+#: The optimizer's output at ``n_vectors=30``: the netlist's content
+#: hash and (ffs_optimized, buffers_added, first_level_after).  Any
+#: change to an accept/reject decision moves these.
+PINNED = {
+    "s838": (
+        "e675338f634fbeb3fe789dc4f609aa263460bbcb2abf035a4afe2aecf10334eb",
+        (12, 13, 52),
+    ),
+    "s1423": (
+        "e5cb9349457f2929ec2dbe76d404ea406545eeba4e4ef8ffecc594a425f274cd",
+        (16, 21, 84),
+    ),
+}
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +62,10 @@ class TestOptimizeFanout:
             scan = insert_scan(map_netlist(load_circuit(circuit)))
             result = optimize_fanout(scan, n_vectors=30)
         validate(result.optimized.netlist)
+        digest, counts = PINNED[circuit]
+        assert content_hash(result.optimized.netlist) == digest
+        assert (result.ffs_optimized, result.buffers_added,
+                result.first_level_after) == counts
 
     def test_logic_function_preserved(self, s838_result):
         import random
@@ -82,6 +102,23 @@ class TestOptimizeFanout:
                     "area_ovh_before_%", "area_ovh_after_%", "improv_%"):
             assert key in row
 
+    def test_candidates_are_not_timed_from_scratch(self, monkeypatch):
+        from repro.timing import sta
+
+        compiled = []
+        real = sta.compile_netlist
+
+        def counting(netlist):
+            compiled.append(netlist.name)
+            return real(netlist)
+
+        monkeypatch.setattr(sta, "compile_netlist", counting)
+        scan = insert_scan(map_netlist(load_circuit("s838")))
+        result = optimize_fanout(scan, n_vectors=10)
+        assert result.ffs_optimized >= 10
+        # FLH sizing before and after, plus the optimizer's own state.
+        assert len(compiled) == 3
+
     def test_counts_consistent(self, s838_result):
         scan, result = s838_result
         assert result.n_ffs == scan.n_scan_cells
@@ -90,6 +127,63 @@ class TestOptimizeFanout:
         )
         assert result.ffs_optimized > 0
         assert result.buffers_added >= result.ffs_optimized
+
+
+class TestInverterReuse:
+    @staticmethod
+    def _observed(netlist):
+        # Every combination of the core inputs, one per bit lane.
+        nets = list(netlist.inputs) + sorted(netlist.state_inputs)
+        lanes = 1 << len(nets)
+        words = {
+            net: sum(1 << k for k in range(lanes) if k >> i & 1)
+            for i, net in enumerate(nets)
+        }
+        values = ReferenceLogicSimulator(netlist).eval_combinational(
+            words, (1 << lanes) - 1
+        )
+        return ([values[net] for net in netlist.outputs]
+                + [values[gate.fanin[0]] for gate in
+                   sorted(netlist.dffs(), key=lambda g: g.name)])
+
+    def test_primary_output_inverter_keeps_polarity(self, library):
+        # q's inverter nq is also a primary output.
+        n = Netlist("po_inverter")
+        n.add_input("a")
+        n.add_input("b")
+        n.add("q", "DFF", ("d",))
+        n.add("nq", "NOT", ("q",))
+        n.add("g1", "NAND", ("q", "a"))
+        n.add("g2", "NOR", ("q", "b"))
+        n.add("d", "AND", ("g1", "g2"))
+        n.add_output("nq")
+        before = map_netlist(n, library)
+        after = before.copy()
+        added = _optimize_one_ff(after, "q", library)
+        validate(after)
+        assert self._observed(after) == self._observed(before)
+        # nq is not reused: the optimizer buffers q with a fresh pair.
+        assert added == 2
+
+    def test_inverter_on_a_data_pin_leaves_no_dead_gate(self, library):
+        # n2 is q's second inverter and only feeds q2's data pin.
+        n = Netlist("data_pin_inverter")
+        n.add_input("a")
+        n.add_input("b")
+        n.add("q", "DFF", ("d",))
+        n.add("n1", "NOT", ("q",))
+        n.add("n2", "NOT", ("q",))
+        n.add("q2", "DFF", ("n2",))
+        n.add("g", "NAND", ("n1", "a"))
+        n.add("h", "NOR", ("q", "b"))
+        n.add("d", "NAND", ("g", "h", "q2"))
+        n.add_output("h")
+        before = map_netlist(n, library)
+        after = before.copy()
+        assert _optimize_one_ff(after, "q", library) == 1
+        validate(after)
+        assert "n2" not in after
+        assert self._observed(after) == self._observed(before)
 
 
 class TestGuards:
