@@ -10,6 +10,7 @@ the derivations shared by all cells.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional, Tuple
 
 from .. import units
@@ -67,18 +68,18 @@ class Cell:
             raise LibraryError(f"{self.name}: negative drive width")
 
     # -- area ---------------------------------------------------------
-    @property
+    @cached_property
     def area(self) -> float:
         """Total transistor active area (the paper's area metric), m^2."""
         return total_area(self.transistors)
 
-    @property
+    @cached_property
     def total_width(self) -> float:
         """Sum of all channel widths, m."""
         return total_width(self.transistors)
 
     # -- timing ---------------------------------------------------------
-    @property
+    @cached_property
     def input_cap(self) -> float:
         """Capacitance of one input pin, farads.
 
@@ -92,7 +93,7 @@ class Cell:
         )
         return gate_cap / self.n_inputs
 
-    @property
+    @cached_property
     def drive_resistance(self) -> float:
         """Effective output resistance, ohms (average of pull-up and
         pull-down paths)."""
@@ -107,7 +108,7 @@ class Cell:
             raise LibraryError(f"{self.name}: cell cannot drive anything")
         return sum(resistances) / len(resistances)
 
-    @property
+    @cached_property
     def output_cap(self) -> float:
         """Parasitic output (diffusion) capacitance, farads."""
         return units.CDIFF_PER_WIDTH * self.output_diff_width
@@ -120,7 +121,7 @@ class Cell:
         )
 
     # -- power ----------------------------------------------------------
-    @property
+    @cached_property
     def leakage_power(self) -> float:
         """Static leakage power at VDD, watts.
 

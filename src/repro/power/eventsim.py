@@ -22,7 +22,7 @@ from ..cells import Library, default_library
 from ..errors import SimulationError
 from ..netlist import Netlist, evaluate_gate, topological_order
 from ..timing.delay_model import DelayOverlay, gate_delay
-from .activity import activity_from_frames
+from .activity import switching_activity
 from .logicsim import LogicSimulator
 
 #: Safety valve: maximum events processed per clock cycle.
@@ -163,10 +163,7 @@ def glitch_study(netlist: Netlist, n_vectors: int = 50,
                  seed: int = 2005,
                  library: Optional[Library] = None) -> GlitchReport:
     """Measure the glitch factor of a circuit under random vectors."""
-    logic = LogicSimulator(netlist)
-    vectors = logic.random_vectors(n_vectors, seed=seed)
-    frames = logic.run_sequential(vectors)
-    zero = activity_from_frames(frames)
+    zero = switching_activity(netlist, n_vectors, seed)
     timed = glitch_activity(
         netlist, n_vectors=n_vectors, seed=seed, library=library
     )

@@ -6,9 +6,11 @@ Two simulators share the same compiled structure:
   bit lane per pattern) evaluation of the combinational core, used by
   fault simulation and ATPG;
 * :meth:`LogicSimulator.run_sequential` -- cycle-by-cycle simulation of
-  the full sequential circuit under a vector stream, used to extract
-  switching activity for the power model (the paper's "100 random
-  vectors" NanoSim run).
+  the full sequential circuit under a vector stream, one value frame
+  per cycle (glitch analysis and scan-chain ordering read the frames);
+* :meth:`LogicSimulator.run_packed` -- the same run with one integer
+  bit lane per *cycle*, used to extract switching activity for the
+  power model (the paper's "100 random vectors" NanoSim run).
 
 The heavy lifting is done by :class:`repro.netlist.CompiledNetlist`:
 the netlist is lowered once (per content hash, process-wide) into flat
@@ -24,6 +26,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import SimulationError
 from ..netlist import Netlist, compile_netlist
+from ..obs import get_recorder
 
 
 class LogicSimulator:
@@ -74,14 +77,7 @@ class LogicSimulator:
         values).  State starts at ``initial_state`` (default all zeros).
         """
         compiled = self.compiled
-        state: List[int] = [0] * len(self.dff_names)
-        if initial_state:
-            position = {name: i for i, name in enumerate(self.dff_names)}
-            for name, value in initial_state.items():
-                pos = position.get(name)
-                if pos is None:
-                    raise SimulationError(f"{name!r} is not a flip-flop")
-                state[pos] = value & 1
+        state = self._state_bits(initial_state)
         frames: List[Dict[str, int]] = []
         names = compiled.names
         n_inputs = compiled.n_inputs
@@ -96,6 +92,77 @@ class LogicSimulator:
             frames.append(dict(zip(names, arr)))
             state = [arr[idx] & 1 for idx in dff_data_idx]
         return frames
+
+    # ------------------------------------------------------------------
+    def run_packed(
+        self,
+        vectors: Sequence[Mapping[str, int]],
+        initial_state: Optional[Mapping[str, int]] = None,
+    ) -> List[int]:
+        """:meth:`run_sequential` with every cycle evaluated at once.
+
+        Returns one word per value slot of :attr:`compiled` (slot order
+        is ``compiled.names``): bit *t* of a word is that net's value in
+        cycle *t*, equal to ``run_sequential(...)[t][net]``.
+
+        The flip-flop trajectory is found by relaxing over the time
+        axis.  Cycle 0 of every state word holds the initial state;
+        later cycles start from the guess that the initial state is
+        held.  A round evaluates every cycle under the current guess in
+        one bit-parallel pass, and the D-pin words shifted up one cycle
+        become the next guess.  If the guess agrees with its successor
+        on cycles ``0..j-1``, those cycles were evaluated on the true
+        state (by induction from the known cycle 0) and the successor
+        is also true at cycle ``j``.  So each round settles at least one
+        more cycle, an unchanged guess is the exact trajectory, and a
+        run makes at most ``n`` calls to
+        :meth:`~repro.netlist.CompiledNetlist.eval_into`, as
+        :meth:`run_sequential` does.
+
+        Records one ``power.activity`` span (args ``circuit``,
+        ``vectors``, ``rounds``) and adds the rounds to the
+        ``power.relax_rounds`` counter.
+        """
+        compiled = self.compiled
+        names = compiled.names
+        n_inputs = compiled.n_inputs
+        n_prefix = compiled.n_prefix
+        dff_data_idx = compiled.dff_data_idx
+        state = self._state_bits(initial_state)
+        rec = get_recorder()
+        start = rec.now_us()
+        inputs, mask = pack_patterns(vectors, compiled.inputs)
+        words = [inputs[net] for net in compiled.inputs]
+        words += [0] * (len(names) - n_inputs)
+        guess = [mask if bit else 0 for bit in state]
+        rounds = 0
+        changed = len(vectors) > 0
+        while changed:
+            words[n_inputs:n_prefix] = guess
+            compiled.eval_into(words, mask)
+            rounds += 1
+            implied = [((words[d] << 1) & mask) | bit
+                       for d, bit in zip(dff_data_idx, state)]
+            changed = implied != guess
+            guess = implied
+        rec.incr("power.relax_rounds", rounds)
+        rec.complete_event("power.activity", start, rec.now_us() - start,
+                           cat="power", circuit=self.netlist.name,
+                           vectors=len(vectors), rounds=rounds)
+        return words
+
+    def _state_bits(self, initial_state: Optional[Mapping[str, int]],
+                    ) -> List[int]:
+        """Per-flip-flop start bits (``dff_names`` order, default 0)."""
+        state: List[int] = [0] * len(self.dff_names)
+        if initial_state:
+            position = {name: i for i, name in enumerate(self.dff_names)}
+            for name, value in initial_state.items():
+                pos = position.get(name)
+                if pos is None:
+                    raise SimulationError(f"{name!r} is not a flip-flop")
+                state[pos] = value & 1
+        return state
 
     # ------------------------------------------------------------------
     def random_vectors(self, n: int, seed: int = 2005,
