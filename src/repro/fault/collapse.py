@@ -28,11 +28,14 @@ from ..netlist import Netlist
 from .models import FALL, RISE, StuckFault, TransitionFault
 
 
-def _root(netlist: Netlist, net: str, value: int) -> Tuple[str, int]:
+def _root(netlist: Netlist, net: str, value: int,
+          observed: Set[str]) -> Tuple[str, int]:
     """Chase a (net, stuck value) through single-fanout NOT/BUF sinks.
 
     If the only sink of ``net`` is an inverter or buffer, the fault is
-    equivalent to one at that sink's output; iterate to the stem.
+    equivalent to one at that sink's output; iterate to the stem.  The
+    chase stops at a net in ``observed`` (the core outputs, built once
+    per public call).
     """
     current, polarity = net, value
     seen: Set[str] = set()
@@ -53,16 +56,17 @@ def _root(netlist: Netlist, net: str, value: int) -> Tuple[str, int]:
             current, polarity = sink.name, 1 - polarity
         else:
             return current, polarity
-        if current in set(netlist.outputs) | set(netlist.state_outputs):
+        if current in observed:
             return current, polarity
 
 
 def collapse_stuck(netlist: Netlist,
                    faults: List[StuckFault]) -> List[StuckFault]:
     """Equivalence-collapse a stuck-at fault list."""
+    observed = set(netlist.core_outputs)
     kept: Dict[Tuple[str, int], StuckFault] = {}
     for fault in faults:
-        root = _root(netlist, fault.net, fault.value)
+        root = _root(netlist, fault.net, fault.value, observed)
         if root not in kept:
             kept[root] = StuckFault(*root)
     return sorted(kept.values())
@@ -75,10 +79,11 @@ def collapse_transition(netlist: Netlist,
     slow-to-rise maps through an inverter to slow-to-fall downstream,
     mirroring the stuck-at rule on the late value.
     """
+    observed = set(netlist.core_outputs)
     kept: Dict[Tuple[str, str], TransitionFault] = {}
     for fault in faults:
         stuck_value = fault.initial_value
-        net, value = _root(netlist, fault.net, stuck_value)
+        net, value = _root(netlist, fault.net, stuck_value, observed)
         direction = "rise" if value == 0 else "fall"
         key = (net, direction)
         if key not in kept:
@@ -115,14 +120,15 @@ _TRANSITION_DOMINANCE = {
 }
 
 
-def _hidden_inputs(netlist: Netlist, gate_name: str) -> List[str]:
+def _hidden_inputs(netlist: Netlist, gate_name: str,
+                   observed: Set[str]) -> List[str]:
     """Fanin nets of ``gate_name`` whose *only* observation path is
     through that gate: exactly one sink (the gate itself -- DFF sinks
-    would make the net scan-observable) and not a core output."""
-    observable = set(netlist.core_outputs)
+    would make the net scan-observable) and not in ``observed`` (the
+    core outputs, built once per public call)."""
     hidden = []
     for x in dict.fromkeys(netlist.gate(gate_name).fanin):
-        if x in observable:
+        if x in observed:
             continue
         if netlist.fanout(x) != {gate_name}:
             continue
@@ -148,6 +154,7 @@ def dominance_collapse_stuck(netlist: Netlist,
     sorted list stays sorted).
     """
     present = {(f.net, f.value) for f in faults}
+    observed = set(netlist.core_outputs)
     dropped: Set[StuckFault] = set()
     for fault in faults:
         try:
@@ -158,7 +165,7 @@ def dominance_collapse_stuck(netlist: Netlist,
         if inv is None:
             continue
         wanted = fault.value ^ inv
-        for x in _hidden_inputs(netlist, fault.net):
+        for x in _hidden_inputs(netlist, fault.net, observed):
             if (x, wanted) in present:
                 dropped.add(fault)
                 break
@@ -184,6 +191,7 @@ def dominance_collapse_transition(
     :func:`dominance_collapse_stuck`.
     """
     present = {(f.net, f.direction) for f in faults}
+    observed = set(netlist.core_outputs)
     dropped: Set[TransitionFault] = set()
     for fault in faults:
         try:
@@ -194,7 +202,7 @@ def dominance_collapse_transition(
         if rule is None or fault.direction != rule[1]:
             continue
         in_dir = rule[0]
-        for x in _hidden_inputs(netlist, fault.net):
+        for x in _hidden_inputs(netlist, fault.net, observed):
             if (x, in_dir) in present:
                 dropped.add(fault)
                 break

@@ -9,16 +9,21 @@ A PODEM (Goel 1981) over the combinational core:
 * D-frontier tracking with X-path check;
 * bounded backtracking.
 
-The implication step runs **event-driven on the compiled flat arrays**
-(:meth:`repro.netlist.CompiledNetlist.eval3_into`, the two-word-per-net
-three-valued kernel): assigning a primary input re-implies only that
-input's fanout cone, and within the cone only the nets whose values
-actually change.  The D-frontier and X-path scans are likewise
-restricted to the fault site's cone.  This replaced the historical
-whole-core dict re-simulation per decision; the retained dict-based
-reference (``repro.perf.reference.ReferenceThreeValuedSimulator``, built
-on :func:`eval3` below) pins bit-identical three-valued results on
-every catalog circuit.
+Both machines live in **one pair of three-valued arrays**
+(:meth:`repro.netlist.CompiledNetlist.propagate3`'s two-word-per-net
+encoding): bit 0 of every word is the fault-free machine and bit 1 the
+faulty machine, whose stuck site is forced in ``_begin`` and held by
+``propagate3``'s held-bits rule.  Assigning an input is one worklist
+propagation with ``mask=3`` that re-implies only the nets whose value
+changes in either machine, and writes one undo trail; a backtrack
+replays that trail.  The queries read bits: the good value is X when
+``(v0 | v1) & 1 == 0``, a net's composite value is settled when
+``(v0 | v1) == 3``, and it carries a fault effect when
+``((v1 & (v0 >> 1)) | (v0 & (v1 >> 1))) & 1``.  The D-frontier and
+X-path scans are restricted to the fault site's cone.  The retained
+dict-based reference (``repro.perf.reference.ReferenceThreeValuedSimulator``,
+built on :func:`eval3` below) pins bit-identical three-valued results
+on every catalog circuit, for the faulty machine too.
 """
 
 from __future__ import annotations
@@ -273,7 +278,7 @@ class PodemSearch:
                 "PodemSearch resumed after its engine was reused by "
                 "another search"
             )
-        g0, g1 = engine._g0, engine._g1
+        v0, v1 = engine._v0, engine._v1
         site = self._site
         fault = self.fault
         req = self._req
@@ -287,10 +292,10 @@ class PodemSearch:
             if remaining is not None:
                 remaining -= 1
             req_conflict = any(
-                (g0[s] if value else g1[s]) for s, value in req
+                (v0[s] if value else v1[s]) & 1 for s, value in req
             )
             req_pending = [
-                (s, value) for s, value in req if not (g0[s] | g1[s])
+                (s, value) for s, value in req if not (v0[s] | v1[s]) & 1
             ]
             detected = engine._fault_at_output()
             if not req_conflict and not req_pending and detected:
@@ -302,8 +307,8 @@ class PodemSearch:
 
             frontier = engine._d_frontier()
             failed = req_conflict
-            if g0[site] | g1[site]:
-                if g1[site] if fault.value else g0[site]:
+            if (v0[site] | v1[site]) & 1:
+                if (v1[site] if fault.value else v0[site]) & 1:
                     failed = True        # fault can no longer be excited
                 elif not detected and not engine._x_path_exists(frontier):
                     failed = True        # effect can no longer propagate
@@ -320,8 +325,8 @@ class PodemSearch:
                 slot, value = objective
                 pi, pi_value = engine._backtrace(slot, value)
                 if pi not in assignment:
-                    trails = engine._assign_pi(pi, pi_value)
-                    decisions.append([pi, pi_value, 0, trails])
+                    trail = engine._assign_pi(pi, pi_value)
+                    decisions.append([pi, pi_value, 0, trail])
                     assignment[pi] = pi_value
                     continue
                 # Backtrace landed on a decided input: the objective is
@@ -382,11 +387,10 @@ class Podem:
             depth[base + p] = 1 + max(depth[f] for f in fanin)
         self._depth = depth
 
-        # Mutable per-generate state (set up by _begin).
-        self._g0: List[int] = []
-        self._g1: List[int] = []
-        self._f0: List[int] = []
-        self._f1: List[int] = []
+        # Mutable per-generate state (set up by _begin): both machines
+        # packed per word, bit 0 fault-free and bit 1 faulty.
+        self._v0: List[int] = []
+        self._v1: List[int] = []
         self._site: Optional[int] = None
         self._site_pos: int = -1
         self._site_cone: Tuple[int, ...] = ()
@@ -402,17 +406,16 @@ class Podem:
 
         With every core input at X the fault-free machine is X on every
         net (no gate evaluates to a constant from all-X fanins), so the
-        fresh zero arrays *are* the full-simulation result.  The faulty
-        machine forces the site and propagates the controlling-value
-        implications through its cone.
+        fresh zero arrays *are* its full-simulation result.  The faulty
+        machine (bit 1) forces the site and propagates the
+        controlling-value implications through its cone.  Without a
+        site (``justify``) both bits hold the fault-free machine.
         """
         n = self._n_slots
-        self._g0 = [0] * n
-        self._g1 = [0] * n
+        self._v0 = v0 = [0] * n
+        self._v1 = v1 = [0] * n
         self._site = site
         if site is None:
-            self._f0 = self._g0
-            self._f1 = self._g1
             self._site_pos = -1
             self._site_cone = ()
             return
@@ -420,73 +423,45 @@ class Podem:
         self._site_pos = (site - self._n_prefix
                           if site >= self._n_prefix else -1)
         self._site_cone = compiled.cone_positions(site)
-        f0 = [0] * n
-        f1 = [0] * n
         if fault_value:
-            f1[site] = 1
+            v1[site] = 2
         else:
-            f0[site] = 1
-        compiled.propagate3(f0, f1, 1, (site,), skip=self._site_pos)
-        self._f0 = f0
-        self._f1 = f1
+            v0[site] = 2
+        # The site's cone never contains the site: nothing to hold yet.
+        compiled.propagate3(v0, v1, 3, (site,))
 
-    #: Undo record of one input assignment: trails of (slot, old0,
-    #: old1) for the good and faulty machines.
-    _Trails = Tuple[List[Tuple[int, int, int]], List[Tuple[int, int, int]]]
+    def _assign_pi(self, slot: int, value: int) -> List[Tuple[int, int, int]]:
+        """Assign one core input slot in both machines; returns the
+        ``(slot, old0, old1)`` undo trail.
 
-    def _assign_pi(self, slot: int, value: int) -> "Podem._Trails":
-        """Assign one core input slot; returns the undo trails."""
-        compiled = self.compiled
-        n0 = 1 if value == 0 else 0
-        n1 = 1 if value == 1 else 0
-        g0, g1 = self._g0, self._g1
-        gtrail: List[Tuple[int, int, int]] = []
-        if g0[slot] != n0 or g1[slot] != n1:
-            gtrail.append((slot, g0[slot], g1[slot]))
-            g0[slot] = n0
-            g1[slot] = n1
-            compiled.propagate3(g0, g1, 1, (slot,), trail=gtrail)
-        site = self._site
-        if site is None or slot == site:
-            # Good-only mode, or the faulty machine holds the site.
-            return gtrail, []
-        f0, f1 = self._f0, self._f1
-        ftrail: List[Tuple[int, int, int]] = []
-        if f0[slot] != n0 or f1[slot] != n1:
-            ftrail.append((slot, f0[slot], f1[slot]))
-            f0[slot] = n0
-            f1[slot] = n1
-            compiled.propagate3(f0, f1, 1, (slot,), skip=self._site_pos,
-                                trail=ftrail)
-        return gtrail, ftrail
+        A decision on the fault site itself sets only the fault-free
+        bit: the faulty machine holds the stuck value there.
+        """
+        bits = 1 if slot == self._site else 3
+        v0, v1 = self._v0, self._v1
+        trail = [(slot, v0[slot], v1[slot])]
+        v0[slot] = (v0[slot] & ~bits) | (0 if value else bits)
+        v1[slot] = (v1[slot] & ~bits) | (bits if value else 0)
+        self.compiled.propagate3(v0, v1, 3, (slot,), hold=self._site_pos,
+                                 held=2, trail=trail)
+        return trail
 
-    def _undo(self, trails: "Podem._Trails") -> None:
-        """Restore both machines from an assignment's undo trails."""
-        gtrail, ftrail = trails
-        g0, g1 = self._g0, self._g1
-        for slot, old0, old1 in reversed(gtrail):
-            g0[slot] = old0
-            g1[slot] = old1
-        f0, f1 = self._f0, self._f1
-        for slot, old0, old1 in reversed(ftrail):
-            f0[slot] = old0
-            f1[slot] = old1
+    def _undo(self, trail: List[Tuple[int, int, int]]) -> None:
+        """Restore both machines from an assignment's undo trail."""
+        v0, v1 = self._v0, self._v1
+        for slot, old0, old1 in reversed(trail):
+            v0[slot] = old0
+            v1[slot] = old1
 
     # ------------------------------------------------------------------
     # composite-value queries
     # ------------------------------------------------------------------
-    def _good(self, slot: int) -> int:
-        """Good-machine value of a slot in {0, 1, X}."""
-        if self._g0[slot]:
-            return 0
-        if self._g1[slot]:
-            return 1
-        return X
-
     def _fault_at_output(self) -> bool:
-        g0, g1, f0, f1 = self._g0, self._g1, self._f0, self._f1
+        v0, v1 = self._v0, self._v1
         for out in self._observe_idx:
-            if (g1[out] & f0[out]) | (g0[out] & f1[out]):
+            a0 = v0[out]
+            a1 = v1[out]
+            if ((a1 & (a0 >> 1)) | (a0 & (a1 >> 1))) & 1:
                 return True
         return False
 
@@ -494,16 +469,18 @@ class Podem:
         """Eval positions whose composite output is still unknown but
         with a definite fault effect (good != faulty, both known) on an
         input.  Only the fault site's cone can qualify."""
-        g0, g1, f0, f1 = self._g0, self._g1, self._f0, self._f1
+        v0, v1 = self._v0, self._v1
         fanins = self.compiled.fanins
         base = self._n_prefix
         frontier: List[int] = []
         for p in self._site_cone:
             slot = base + p
-            if (g0[slot] | g1[slot]) and (f0[slot] | f1[slot]):
+            if (v0[slot] | v1[slot]) == 3:
                 continue  # composite value settled (propagated or blocked)
             for f in fanins[p]:
-                if (g1[f] & f0[f]) | (g0[f] & f1[f]):
+                a0 = v0[f]
+                a1 = v1[f]
+                if ((a1 & (a0 >> 1)) | (a0 & (a1 >> 1))) & 1:
                     frontier.append(p)
                     break
         return frontier
@@ -512,7 +489,7 @@ class Podem:
         """Can a fault effect still reach an observation point?"""
         if not frontier:
             return False
-        g0, g1, f0, f1 = self._g0, self._g1, self._f0, self._f1
+        v0, v1 = self._v0, self._v1
         fanout_pos = self.compiled._fanout_pos
         base = self._n_prefix
         observed = set(self._observe_idx)
@@ -526,7 +503,7 @@ class Podem:
                 sink = base + pos
                 if sink in reachable:
                     continue
-                if (g0[sink] | g1[sink]) and (f0[sink] | f1[sink]):
+                if (v0[sink] | v1[sink]) == 3:
                     continue  # both machines known: no X-path through it
                 reachable.add(sink)
                 stack.append(sink)
@@ -536,8 +513,8 @@ class Podem:
     def _objective(self, site: int, fault_value: int,
                    frontier: List[int]) -> Optional[Tuple[int, int]]:
         """Next (slot, value) goal: activate the fault, then propagate."""
-        g0, g1 = self._g0, self._g1
-        if not (g0[site] | g1[site]):
+        v0, v1 = self._v0, self._v1
+        if not (v0[site] | v1[site]) & 1:
             return site, 1 - fault_value
         fanins = self.compiled.fanins
         guidance = self._guidance
@@ -548,7 +525,7 @@ class Podem:
         for p in frontier:
             ctrl = self._ctrl[p]
             value = 0 if ctrl is None else 1 - ctrl
-            candidates = [f for f in fanins[p] if not (g0[f] | g1[f])]
+            candidates = [f for f in fanins[p] if not (v0[f] | v1[f]) & 1]
             if not candidates:
                 continue
             if guidance is None:
@@ -559,7 +536,7 @@ class Podem:
 
     def _backtrace(self, slot: int, value: int) -> Tuple[int, int]:
         """Walk an objective back to an unassigned primary/state input."""
-        g0, g1 = self._g0, self._g1
+        v0, v1 = self._v0, self._v1
         fanins = self.compiled.fanins
         depth = self._depth
         base = self._n_prefix
@@ -572,7 +549,7 @@ class Podem:
             # Choose the X input closest to the inputs (easiest set);
             # with SCOAP guidance, the one cheapest to drive to the
             # target value (depth breaks ties).
-            candidates = [f for f in fanin if not (g0[f] | g1[f])]
+            candidates = [f for f in fanin if not (v0[f] | v1[f]) & 1]
             if not candidates:
                 # Everything justified already; pick any input to move on.
                 candidates = list(fanin)
@@ -595,16 +572,16 @@ class Podem:
         re-propagation at all on the way up the decision stack.
         """
         while decisions and decisions[-1][2]:
-            slot, _, _, trails = decisions.pop()
+            slot, _, _, trail = decisions.pop()
             del assignment[slot]
-            self._undo(trails)
+            self._undo(trail)
         if not decisions:
             return False
-        slot, value, _, trails = decisions.pop()
-        self._undo(trails)
+        slot, value, _, trail = decisions.pop()
+        self._undo(trail)
         flipped = 1 - value
-        trails = self._assign_pi(slot, flipped)
-        decisions.append([slot, flipped, 1, trails])
+        trail = self._assign_pi(slot, flipped)
+        decisions.append([slot, flipped, 1, trail])
         assignment[slot] = flipped
         return True
 
@@ -637,9 +614,10 @@ class Podem:
     def justify(self, net: str, value: int) -> Optional[Dict[str, int]]:
         """Find an input assignment setting ``net`` to ``value``.
 
-        Good-machine-only search over the same incremental engine;
-        returns a full input vector (X -> 0) or None if ``net`` cannot
-        take ``value`` within the backtrack limit.
+        Good-machine-only search over the same incremental engine (both
+        bits of every word hold the fault-free machine); returns a full
+        input vector (X -> 0) or None if ``net`` cannot take ``value``
+        within the backtrack limit.
         """
         compiled = self.compiled
         slot = compiled.index.get(net)
@@ -647,19 +625,19 @@ class Podem:
             raise AtpgError(f"net {net!r} not in netlist")
         self._begin(None)
         self._active_search = None  # invalidate any paused PodemSearch
-        g0, g1 = self._g0, self._g1
+        v0, v1 = self._v0, self._v1
         assignment: Dict[int, int] = {}
-        decisions: List[list] = []  # [slot, value, flipped, trails]
+        decisions: List[list] = []  # [slot, value, flipped, trail]
         backtracks = 0
         names = compiled.names
 
         while True:
-            if (g1[slot] if value else g0[slot]):
+            if (v1[slot] if value else v0[slot]) & 1:
                 return {
                     names[s]: assignment.get(s, 0)
                     for s in range(self._n_prefix)
                 }
-            if g0[slot] | g1[slot]:
+            if (v0[slot] | v1[slot]) & 1:
                 # Wrong value under current decisions: backtrack.
                 if not self._backtrack(assignment, decisions):
                     return None
@@ -675,8 +653,8 @@ class Podem:
                 if backtracks > self.backtrack_limit:
                     return None
                 continue
-            trails = self._assign_pi(pi, pi_value)
-            decisions.append([pi, pi_value, 0, trails])
+            trail = self._assign_pi(pi, pi_value)
+            decisions.append([pi, pi_value, 0, trail])
             assignment[pi] = pi_value
 
 

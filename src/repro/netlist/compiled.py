@@ -302,45 +302,30 @@ class CompiledNetlist:
         return values
 
     # ------------------------------------------------------------------
-    def eval3_into(self, values0: List[int], values1: List[int], mask: int,
-                   positions: Optional[Iterable[int]] = None,
-                   events: Optional[set] = None) -> None:
+    def eval3_into(self, values0: List[int], values1: List[int],
+                   mask: int) -> None:
         """Three-valued (0/1/X) evaluation over two packed words per net.
 
         The encoding is two parallel value arrays: bit *i* of
-        ``values0[slot]`` set means net ``names[slot]`` is 0 in pattern
+        ``values0[slot]`` set means net ``names[slot]`` is 0 in lane
         *i*; the same bit of ``values1[slot]`` means 1; neither set
         means X.  (``values0 & values1 == 0`` is an invariant the
-        kernel preserves.)  The results are bit-identical to
-        :func:`repro.fault.podem.eval3` applied per pattern -- the
-        retained dict-based reference, pinned by
+        kernel preserves.)  Lanes never mix: a lane may be an
+        independent pattern, or -- in PODEM -- the fault-free (bit 0)
+        or faulty (bit 1) machine under one pattern.  The results are
+        bit-identical to :func:`repro.fault.podem.eval3` applied per
+        lane -- the retained dict-based reference, pinned by
         ``tests/fault/test_atpg_flow.py`` on every catalog circuit.
 
-        ``positions`` restricts evaluation to a sorted subset of eval
-        positions (a fanout cone), exactly like :meth:`eval_into`.
-
-        ``events`` switches on *event-driven* propagation: it must be a
-        set of value-slot indices whose words just changed (typically
-        the one assigned input).  A position none of whose fanins are
-        in ``events`` is skipped outright, and a position whose
-        recomputed pair equals the stored pair does not extend
-        ``events`` -- so implication work is proportional to the nets
-        that actually change, not to the cone size.  The set is updated
-        in place with every slot whose value changed.
+        Every eval position is recomputed, in topological order, from
+        the prefix slots (primary and state inputs) already filled in;
+        :meth:`propagate3` is the incremental form.
         """
         ops = self.ops
         fanins = self.fanins
         base = self.n_prefix
-        if positions is None:
-            positions = range(len(ops))
-        for p in positions:
+        for p in range(len(ops)):
             fanin = fanins[p]
-            if events is not None:
-                for f in fanin:
-                    if f in events:
-                        break
-                else:
-                    continue
             op = ops[p]
             if op >= _TWO_INPUT_OFFSET:
                 a, b = fanin
@@ -442,16 +427,12 @@ class CompiledNetlist:
                 v0 = ((s0 & values0[d0]) | (s1 & values0[d1])
                       | (values0[d0] & values0[d1]))
             slot = base + p
-            if events is not None:
-                if values0[slot] == v0 and values1[slot] == v1:
-                    continue
-                events.add(slot)
             values0[slot] = v0
             values1[slot] = v1
 
     # ------------------------------------------------------------------
     def propagate3(self, values0: List[int], values1: List[int], mask: int,
-                   seeds: Iterable[int], skip: int = -1,
+                   seeds: Iterable[int], hold: int = -1, held: int = 0,
                    trail: Optional[List[Tuple[int, int, int]]] = None,
                    ) -> None:
         """Worklist form of :meth:`eval3_into`: re-implicate from seeds.
@@ -464,27 +445,34 @@ class CompiledNetlist:
         is what makes PODEM's per-decision implication proportional to
         the nets that change, not to the fanout-cone size.
 
-        ``skip`` excludes one eval position from recomputation (the
-        faulty machine's forced site).  ``trail`` collects
+        ``hold``/``held`` is the held-bits rule: at eval position
+        ``hold`` the lanes set in ``held`` keep their stored values and
+        the other lanes are recomputed from the fanins.  PODEM packs the
+        fault-free machine into bit 0 and the faulty machine into bit 1
+        and holds bit 1 of the stuck site (``held=2``); ``held=mask``
+        freezes the position outright.  ``trail`` collects
         ``(slot, old0, old1)`` undo records for every overwritten slot,
         so a backtracking caller can restore state without
         re-propagating.  Final values are bit-identical to
-        :meth:`eval3_into` over the seeds' full fanout cones.
+        :meth:`eval3_into` over the seeds' full fanout cones, with the
+        held lanes of ``hold`` kept.
         """
         ops = self.ops
         fanins = self.fanins
         fanout_pos = self._fanout_pos
         base = self.n_prefix
+        keep = ~held
         heap: List[int] = []
         pending = set()
         for s in seeds:
             for p in fanout_pos[s]:
-                if p != skip and p not in pending:
+                if p not in pending:
                     pending.add(p)
                     heappush(heap, p)
+        # Positions pop in increasing order and only later positions are
+        # ever pushed, so a popped position stays in ``pending`` safely.
         while heap:
             p = heappop(heap)
-            pending.discard(p)
             fanin = fanins[p]
             op = ops[p]
             if op >= _TWO_INPUT_OFFSET:
@@ -587,14 +575,19 @@ class CompiledNetlist:
                 v0 = ((s0 & values0[d0]) | (s1 & values0[d1])
                       | (values0[d0] & values0[d1]))
             slot = base + p
-            if values0[slot] == v0 and values1[slot] == v1:
+            old0 = values0[slot]
+            old1 = values1[slot]
+            if p == hold:
+                v0 = (v0 & keep) | (old0 & held)
+                v1 = (v1 & keep) | (old1 & held)
+            if old0 == v0 and old1 == v1:
                 continue
             if trail is not None:
-                trail.append((slot, values0[slot], values1[slot]))
+                trail.append((slot, old0, old1))
             values0[slot] = v0
             values1[slot] = v1
             for q in fanout_pos[slot]:
-                if q != skip and q not in pending:
+                if q not in pending:
                     pending.add(q)
                     heappush(heap, q)
 

@@ -15,7 +15,7 @@ They are deliberately *not* exported from ``repro.fault`` /
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import SimulationError
 from ..netlist import Netlist, evaluate_gate, fanout_cone, topological_order
@@ -122,8 +122,9 @@ class ReferenceThreeValuedSimulator:
     combinational core on every input assignment.  Kept as the
     bit-identity oracle for :meth:`repro.netlist.CompiledNetlist.eval3_into`
     and :meth:`~repro.netlist.CompiledNetlist.propagate3`
-    (``tests/fault/test_atpg_flow.py``) and as the slow side of the
-    ``eval3`` bench kernel.
+    (``tests/fault/test_atpg_flow.py``), for both machines of PODEM's
+    packed state (``tests/fault/test_podem.py``), and as the slow side
+    of the ``eval3`` bench kernel.
     """
 
     def __init__(self, netlist: Netlist):
@@ -139,17 +140,30 @@ class ReferenceThreeValuedSimulator:
             g.name for g in netlist.dffs()
         )
 
-    def simulate(self, assignment: Mapping[str, int]) -> Dict[str, int]:
+    def simulate(self, assignment: Mapping[str, int],
+                 force: Optional[Tuple[str, int]] = None,
+                 ) -> Dict[str, int]:
         """Net -> 0/1/X for one (possibly partial) input assignment.
 
         Inputs absent from ``assignment`` are X; every combinational
-        net is filled in by scalar three-valued evaluation.
+        net is filled in by scalar three-valued evaluation.  ``force``
+        is an optional ``(net, value)`` that holds one net -- a core
+        input or a gate output -- at ``value`` whatever drives it: the
+        faulty machine of that net stuck at ``value``.
         """
         values: Dict[str, int] = {net: X for net in self.core_inputs}
         for net, value in assignment.items():
             if net not in values:
                 raise SimulationError(f"{net!r} is not a core input")
             values[net] = value
+        forced, forced_value = force if force is not None else (None, X)
+        if forced in values:
+            values[forced] = forced_value
+        elif forced is not None and forced not in self.order:
+            raise SimulationError(f"{forced!r} is not in the netlist")
         for name, func, fanin in zip(self.order, self._funcs, self._fanins):
-            values[name] = eval3(func, tuple(values[f] for f in fanin))
+            if name == forced:
+                values[name] = forced_value
+            else:
+                values[name] = eval3(func, tuple(values[f] for f in fanin))
         return values

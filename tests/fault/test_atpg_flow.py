@@ -4,8 +4,8 @@ compiled three-valued kernels it rides on.
 The two pinning suites here are the contract the perf work rests on:
 
 * ``TestEval3Identity`` -- the compiled two-word kernels
-  (``eval3_into`` and the worklist ``propagate3``) must be
-  bit-identical to the scalar dict reference
+  (``eval3_into`` and the worklist ``propagate3`` with its held-bits
+  rule) must be bit-identical to the scalar dict reference
   (``repro.perf.reference.ReferenceThreeValuedSimulator``) on every
   catalog circuit;
 * ``TestFlowMatchesNaive`` -- the pipeline's final coverage must equal
@@ -126,22 +126,53 @@ class TestEval3Identity:
             v1[slot] = old1
         assert (v0, v1) == start, f"{name}: trail undo incomplete"
 
-    def test_propagate3_skip_freezes_fault_site(self, s27_netlist):
-        """The ``skip`` position is never recomputed (faulty machine)."""
+    def test_propagate3_full_hold_freezes_fault_site(self, s27_netlist):
+        """``held=mask`` never changes the ``hold`` position, and
+        never records it on the trail."""
         compiled = compile_netlist(s27_netlist)
         site = compiled.index["G11"]
         site_pos = site - compiled.n_prefix
         v0 = compiled.new_values()
         v1 = compiled.new_values()
         compiled.eval3_into(v0, v1, 1)
-        # Force the site to 1 (as _begin does for a sa1 faulty machine).
+        # Force the site to 1 (a sa1 machine on its own).
         v0[site], v1[site] = 0, 1
-        compiled.propagate3(v0, v1, 1, (site,), skip=site_pos)
+        compiled.propagate3(v0, v1, 1, (site,), hold=site_pos, held=1)
         assert (v0[site], v1[site]) == (0, 1)
+        trail = []
         for slot in range(compiled.n_prefix):
             v0[slot], v1[slot] = 1, 0  # drive every input to 0
-            compiled.propagate3(v0, v1, 1, (slot,), skip=site_pos)
+            compiled.propagate3(v0, v1, 1, (slot,), hold=site_pos, held=1,
+                                trail=trail)
         assert (v0[site], v1[site]) == (0, 1)
+        assert site not in {slot for slot, _, _ in trail}
+
+    def test_propagate3_partial_hold_keeps_only_held_bits(self,
+                                                          s27_netlist):
+        """``held=2`` on a packed pair: bit 0 (fault-free) follows the
+        fanins and bit 1 (faulty) keeps the forced value, as PODEM
+        packs them."""
+        compiled = compile_netlist(s27_netlist)
+        site = compiled.index["G11"]
+        site_pos = site - compiled.n_prefix
+        v0 = compiled.new_values()
+        v1 = compiled.new_values()
+        compiled.eval3_into(v0, v1, 3)
+        v1[site] = 2  # faulty machine: G11 stuck-at-1
+        compiled.propagate3(v0, v1, 3, (site,), hold=site_pos, held=2)
+        for slot in range(compiled.n_prefix):
+            v0[slot], v1[slot] = 3, 0  # every input 0 in both machines
+            compiled.propagate3(v0, v1, 3, (slot,), hold=site_pos, held=2)
+        # All-zero inputs make the fault-free G11 0, opposite the stuck 1.
+        good0 = compiled.new_values()
+        good1 = compiled.new_values()
+        for slot in range(compiled.n_prefix):
+            good0[slot] = 1
+        compiled.eval3_into(good0, good1, 1)
+        assert (good0[site], good1[site]) == (1, 0)
+        assert [v & 1 for v in v0] == good0
+        assert [v & 1 for v in v1] == good1
+        assert (v0[site] >> 1, v1[site] >> 1) == (0, 1)
 
 
 class TestFlowMatchesNaive:
@@ -297,23 +328,45 @@ class TestFlowArtifact:
             atpg_main(["s27", "s298", "--artifact", "/tmp/x.json"])
         capsys.readouterr()
 
-    #: SHA-256 of the default-config s298 artifact.  The serial and
-    #: sharded runs differ only in ``config.processes``; phase 2 of the
-    #: sharded run goes through the parallel PODEM coordinator.  Under
-    #: ``backend="auto"`` s298 runs on the int kernels, so the digests
-    #: hold with or without numpy and under any PYTHONHASHSEED.
+    #: SHA-256 of the s298 artifact per config.  ``1`` and ``2`` are the
+    #: default config at ``processes`` 1 and 2; phase 2 of the sharded
+    #: run goes through the parallel PODEM coordinator.  The others
+    #: cover the SCOAP-guided objective and backtrace (``analysis``),
+    #: the policy portfolio (``race``) and guided searches in pool
+    #: workers (``analysis-2``).  Under ``backend="auto"`` s298 runs on
+    #: the int kernels, so the digests hold with or without numpy and
+    #: under any PYTHONHASHSEED.
     ARTIFACT_SHA256 = {
-        1: "d312a9723308d0a197f1efa36082edf6a55d7776bb310d4433f535709945e970",
-        2: "3e059f97fabdafe4d22f0062a198659570de560d5045c04f5e78b51c57fa04d9",
+        "1": (
+            {"processes": 1},
+            "d312a9723308d0a197f1efa36082edf6a55d7776bb310d4433f535709945e970",
+        ),
+        "2": (
+            {"processes": 2},
+            "3e059f97fabdafe4d22f0062a198659570de560d5045c04f5e78b51c57fa04d9",
+        ),
+        "analysis": (
+            {"use_analysis": True},
+            "d7453af922f039f7f2ff520700fe87cbda563c8dc78a9d51e3f962bafd42c04b",
+        ),
+        "race": (
+            {"race": True},
+            "ecd0a06eba6586f7b0207be226f55937c8dadfaceee45d5b8b53c54e0e5a73ff",
+        ),
+        "analysis-2": (
+            {"use_analysis": True, "processes": 2},
+            "85c9859d0ebaad0552d54434b27184396ad77df7750ca33165af820b00ac35d5",
+        ),
     }
 
-    @pytest.mark.parametrize("processes", [1, 2])
-    def test_s298_artifact_digest_is_pinned(self, processes):
+    @pytest.mark.parametrize("variant", list(ARTIFACT_SHA256))
+    def test_s298_artifact_digest_is_pinned(self, variant):
         from repro.fault import flow_artifact
 
-        config = AtpgFlowConfig(processes=processes)
+        options, expected = self.ARTIFACT_SHA256[variant]
+        config = AtpgFlowConfig(**options)
         result = AtpgFlow(load_circuit("s298"), config).run()
         digest = hashlib.sha256(
             flow_artifact("s298", config, result)).hexdigest()
-        assert digest == self.ARTIFACT_SHA256[processes]
+        assert digest == expected
 

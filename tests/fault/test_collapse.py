@@ -1,5 +1,8 @@
 """Tests for fault collapsing."""
 
+import hashlib
+
+from repro.bench import load_circuit
 from repro.fault import (
     FaultSimulator,
     StuckFault,
@@ -209,3 +212,52 @@ class TestCollapseTransition:
         collapsed = collapse_transition(s27_netlist, full)
         stuck = collapse_stuck(s27_netlist, all_stuck_faults(s27_netlist))
         assert len(collapsed) == len(stuck)
+
+
+class TestPinnedLists:
+    """All four collapsed s5378 lists, pinned by length and digest.
+
+    s5378's 179 flip-flops put many core outputs on the NOT/BUF chases
+    and the hidden-input checks, so a change to either rule moves a
+    digest.
+    """
+
+    #: list -> (length, SHA-256 of the faults' ``str`` forms, one a line).
+    S5378 = {
+        "stuck": (
+            5770,
+            "a083a4c180d3547cdc0a8614f05b7ee6003d835a12bd1b20adc5c67325882d12",
+        ),
+        "dominance_stuck": (
+            4234,
+            "a04be29659060354e5c4255b63e67a781c59de5eca49e0e234bf3c81fb9c2b78",
+        ),
+        "transition": (
+            5770,
+            "a73692db85be58dcab61e50322a425f661f96e0fd50671be8eb6d82b68651ff4",
+        ),
+        "dominance_transition": (
+            5002,
+            "450a67285efccd8929cd9a5078ae47b7bacd035051478194021ad6081d78431f",
+        ),
+    }
+
+    def test_s5378_lists_are_pinned(self):
+        netlist = load_circuit("s5378")
+        stuck = collapse_stuck(netlist, all_stuck_faults(netlist))
+        transition = collapse_transition(
+            netlist, all_transition_faults(netlist)
+        )
+        lists = {
+            "stuck": stuck,
+            "dominance_stuck": dominance_collapse_stuck(netlist, stuck),
+            "transition": transition,
+            "dominance_transition": dominance_collapse_transition(
+                netlist, transition),
+        }
+        got = {
+            name: (len(faults), hashlib.sha256(
+                "\n".join(map(str, faults)).encode()).hexdigest())
+            for name, faults in lists.items()
+        }
+        assert got == self.S5378

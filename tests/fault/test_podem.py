@@ -1,7 +1,10 @@
 """Tests for PODEM test generation."""
 
+import random
+
 import pytest
 
+from repro.bench import load_circuit
 from repro.fault import (
     FaultSimulator,
     Podem,
@@ -14,6 +17,8 @@ from repro.fault import (
 )
 from repro.fault.podem import X
 from repro.netlist import Netlist
+from repro.perf.reference import ReferenceThreeValuedSimulator
+from repro.synth import map_netlist
 
 
 class TestEval3:
@@ -184,3 +189,103 @@ class TestBigger:
         patterns = [r.test for r in detected]
         batch = sim.simulate_stuck([r.fault for r in detected], patterns)
         assert batch.coverage == 1.0  # every generated test verifies
+
+
+def _lane(v0, v1, slot, bit):
+    """Three-valued value of one machine (bit 0 good, bit 1 faulty)."""
+    if (v0[slot] >> bit) & 1:
+        return 0
+    if (v1[slot] >> bit) & 1:
+        return 1
+    return X
+
+
+class TestPackedState:
+    """PODEM's packed good/faulty arrays against the dict reference.
+
+    Random decide/undo walks drive ``_assign_pi``/``_undo`` directly.
+    After every step bit 0 of each slot must equal a fresh
+    three-valued simulation of the decided inputs, and bit 1 the same
+    simulation with the fault site forced to its stuck value; an undo
+    must restore both arrays exactly.
+    """
+
+    STEPS = 60
+
+    @staticmethod
+    def _sites(compiled, rng):
+        """A primary input, a state input and an internal gate."""
+        names = compiled.names
+        sites = [names[0]]
+        if compiled.n_prefix > compiled.n_inputs:
+            sites.append(names[compiled.n_inputs])
+        sites.append(compiled.order[len(compiled.order) // 2])
+        return [StuckFault(net, rng.randint(0, 1)) for net in sites]
+
+    def _check(self, engine, reference, assignment, fault):
+        compiled = engine.compiled
+        v0, v1 = engine._v0, engine._v1
+        good = reference.simulate(assignment)
+        faulty = (good if fault is None else
+                  reference.simulate(assignment,
+                                     force=(fault.net, fault.value)))
+        for slot, net in enumerate(compiled.names):
+            assert _lane(v0, v1, slot, 0) == good[net], (fault, net)
+            assert _lane(v0, v1, slot, 1) == faulty[net], (fault, net)
+
+    def _walk(self, engine, reference, fault, rng):
+        compiled = engine.compiled
+        names = compiled.names
+        if fault is None:
+            engine._begin(None)
+        else:
+            engine._begin(compiled.index[fault.net], fault.value)
+        assignment = {}
+        stack = []
+        self._check(engine, reference, assignment, fault)
+        for _ in range(self.STEPS):
+            free = [s for s in range(compiled.n_prefix)
+                    if names[s] not in assignment]
+            if stack and (not free or rng.random() < 0.4):
+                slot, trail, before = stack.pop()
+                engine._undo(trail)
+                del assignment[names[slot]]
+                assert (engine._v0, engine._v1) == before
+            else:
+                slot = rng.choice(free)
+                value = rng.randint(0, 1)
+                before = (list(engine._v0), list(engine._v1))
+                trail = engine._assign_pi(slot, value)
+                assignment[names[slot]] = value
+                stack.append((slot, trail, before))
+            self._check(engine, reference, assignment, fault)
+
+    @pytest.mark.parametrize("name", ["s27", "s298", "s344", "s1196",
+                                      "s27-mapped", "s382-mapped"])
+    def test_random_walks_match_reference(self, name):
+        """The mapped designs add OAI22 (s27) and AOI21/OAI21 (s382)."""
+        circuit, _, mapped = name.partition("-")
+        netlist = load_circuit(circuit)
+        if mapped:
+            netlist = map_netlist(netlist)
+        engine = Podem(netlist)
+        reference = ReferenceThreeValuedSimulator(netlist)
+        rng = random.Random(11)
+        for fault in self._sites(engine.compiled, rng):
+            self._walk(engine, reference, fault, rng)
+
+    def test_justify_state_mirrors_good_machine(self, s298_netlist):
+        """Without a fault site both bits hold the fault-free machine."""
+        engine = Podem(s298_netlist)
+        reference = ReferenceThreeValuedSimulator(s298_netlist)
+        self._walk(engine, reference, None, random.Random(17))
+
+    def test_site_decision_keeps_stuck_value(self, s27_netlist):
+        """Deciding the fault site itself sets only the good bit."""
+        engine = Podem(s27_netlist)
+        site = engine.compiled.index["G0"]
+        engine._begin(site, 1)
+        trail = engine._assign_pi(site, 0)
+        assert (engine._v0[site], engine._v1[site]) == (1, 2)
+        engine._undo(trail)
+        assert (engine._v0[site], engine._v1[site]) == (0, 2)
