@@ -27,6 +27,7 @@ name always yields byte-identical netlists.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import re
 from typing import Dict, List, Sequence, Set
@@ -51,6 +52,9 @@ _FUNC_WEIGHTS = [
 
 _NARY_FUNCS = {"AND", "NAND", "OR", "NOR", "XOR", "XNOR"}
 _MAX_ARITY = 4
+#: One-input function -> the two-input function that equals it while
+#: the added input is 1 (how a full circuit absorbs an unused input).
+_WIDENED = {"NOT": "NAND", "BUF": "AND"}
 
 
 def _pick_func(rng: random.Random) -> str:
@@ -346,7 +350,13 @@ def _absorb_dangling(netlist: Netlist, leftover: Sequence[str],
 
 
 def _absorb_unused_inputs(netlist: Netlist, rng: random.Random) -> None:
-    """Guarantee every primary input reaches some gate."""
+    """Guarantee every primary input reaches some gate.
+
+    An unused input joins an n-ary gate with a free pin.  When every
+    n-ary gate is full (tiny specs), it widens an inverter or buffer
+    into a two-input gate instead, which keeps the gate count and every
+    logic level.
+    """
     targets = [
         g.name
         for g in netlist.combinational_gates()
@@ -361,9 +371,17 @@ def _absorb_unused_inputs(netlist: Netlist, rng: random.Random) -> None:
             and netlist.gate(t).n_inputs < _MAX_ARITY
         ]
         if not pool:
-            raise NetlistError(
-                f"{netlist.name}: no gate can absorb unused input {net!r}"
-            )
+            singles = [g.name for g in netlist.combinational_gates()
+                       if g.func in _WIDENED]
+            if not singles:
+                raise NetlistError(
+                    f"{netlist.name}: no gate can absorb unused input "
+                    f"{net!r}"
+                )
+            gate = netlist.gate(rng.choice(singles))
+            netlist.replace_gate(dataclasses.replace(
+                gate, func=_WIDENED[gate.func], fanin=gate.fanin + (net,)))
+            continue
         target = rng.choice(pool)
         gate = netlist.gate(target)
         netlist.replace_gate(gate.with_fanin(gate.fanin + (net,)))

@@ -26,8 +26,8 @@ degrades gracefully to ``"int"``.
 
 The registry also owns the ``batch_faults`` knob: how many faults the
 wide engine packs into one plan walk (``"auto"`` sizes the batch from
-circuit stats so the fault-state array stays within a fixed word
-budget).  The knob is a pure performance lever -- batched results are
+circuit stats and the pattern width).  The knob is a pure performance
+lever -- batched results are
 pinned bit-identical to both the per-fault wide path and the integer
 kernels.
 """
@@ -60,9 +60,11 @@ BATCH_AUTO = "auto"
 #: is meant to remove.
 WIDE_MAX_BATCH_FAULTS = 64
 
-#: Word budget for the batched fault-state array (``n_slots * B *
-#: n_words`` uint64 words, ~128 MiB at the default).  ``auto`` batch
-#: sizing divides this by the per-fault footprint.
+#: Sets the ``auto`` batch size: ``auto`` divides this word count by
+#: the per-fault footprint ``n_slots * n_words``.  The batched walk
+#: stores only the (net, fault) pairs that differ from the good
+#: machine, so the constant no longer bounds an allocation; it is kept
+#: at its measured value because it alone fixes the batch sizes.
 WIDE_BATCH_BUDGET_WORDS = 16_000_000
 
 _NUMPY_AVAILABLE: Optional[bool] = None
@@ -173,7 +175,9 @@ def select_batch_faults(value: Union[int, str, None], n_patterns: int,
     (``n_slots`` value slots times the word count for ``n_patterns``
     lanes), clamped to ``[1, WIDE_MAX_BATCH_FAULTS]`` -- wide pattern
     batches on huge circuits get small fault batches, the narrow
-    ATPG-regime batches the batching exists for get the full 64.
+    ATPG-regime batches the batching exists for get the full 64.  The
+    quotient only sets the batch size: the batched walk's memory
+    follows the faults' live effects, not this footprint.
     """
     value = resolve_batch_faults(value)
     if value != BATCH_AUTO:

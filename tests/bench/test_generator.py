@@ -1,10 +1,13 @@
 """Tests for the ISCAS89-like circuit reconstruction."""
 
+import dataclasses
+
 import pytest
 
 from repro.bench import CATALOG, generate, load_circuit, spec
 from repro.netlist import (
     collect_stats,
+    content_hash,
     is_acyclic,
     validate,
 )
@@ -91,6 +94,43 @@ class TestApi:
     def test_generate_accepts_spec_object(self):
         n = generate(CATALOG["s344"])
         assert n.name == "s344"
+
+
+class TestRenamedSpecs:
+    """A renamed catalog spec seeds a new circuit with the same statistics
+    (the benchmark pools and the property tests draw circuits this way)."""
+
+    @staticmethod
+    def _renamed(base, name):
+        return generate(dataclasses.replace(CATALOG[base], name=name))
+
+    def test_full_circuit_absorbs_unused_input(self):
+        """Every n-ary gate of s27_89058 is full before PI3 is absorbed;
+        an inverter or buffer takes it instead."""
+        netlist = self._renamed("s27", "s27_89058")
+        validate(netlist)
+        assert netlist.fanout("PI3")
+        assert all(netlist.fanout(pi) for pi in netlist.inputs)
+        assert len(list(netlist.combinational_gates())) \
+            == CATALOG["s27"].n_gates
+
+    @pytest.mark.parametrize("base, name, digest", [
+        ("s27", "s27_0",
+         "aeb4164ad16c86ab5f74d010fd9a9a3ad23d741eef3797b4d0d606a1d7177173"),
+        ("s27", "s27_89057",
+         "56ad0b15d7ca7f80bff13cd773aba9a9a2a6a4bb8fec5bd211e1f172d223d84a"),
+        ("s27", "s27_89059",
+         "99ffb180bac44048776027ddfaff2e5868de592bf1d0a3bdeabe2aee737b3ee5"),
+        ("s298", "s298_7",
+         "cdd63696787c8fa8ef1dbea34c1757c7acaa440571bb67a8edcdc16afd2325e9"),
+        ("s382", "s382_11_0",
+         "f663ad3ce30d00d90f7583dca34cee428a3f2621342ddb662c4c114a9a72a3ef"),
+        ("s838", "s838_3",
+         "90edfbfd47f46a2c2496226c9d6d65eab16d8566267838097f85945b46cf738f"),
+    ])
+    def test_pinned_circuits(self, base, name, digest):
+        """Names that always built keep their exact circuits."""
+        assert content_hash(self._renamed(base, name)) == digest
 
 
 class TestStressSpec:

@@ -8,15 +8,17 @@ the detection masks.  The catalog-wide numpy-vs-int pins in
 configuration; this file pins the batching axis itself: explicit batch
 sizes against the per-fault path and the integer kernels, the
 overlapping-cone case where one fault's site sits inside another
-batch-mate's cone, the sharded pool in transition drop mode (empty
-shards included), and the end-to-end ATPG/experiment artifacts across
-backends.
+batch-mate's cone, reconvergent paths of different lengths, the sparse
+fault state's memory bound, the sharded pool in transition drop mode
+(empty shards included), and the end-to-end ATPG/experiment artifacts
+across backends.
 
 Skipped entirely when numpy is not importable (``test_backends.py``
 covers knob validation without numpy).
 """
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -25,6 +27,7 @@ np = pytest.importorskip("numpy", exc_type=ImportError)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench import load_circuit
 from repro.fault import (
     AtpgFlow,
     AtpgFlowConfig,
@@ -36,8 +39,9 @@ from repro.fault import (
     random_pattern_words,
     shard_faults,
 )
+from repro.fault.backends import select_batch_faults
 from repro.netlist import Netlist, compile_netlist, validate
-from repro.netlist.wide import WideEngine, clear_plan_cache
+from repro.netlist.wide import WideEngine, clear_plan_cache, words_per_batch
 from repro.obs import Recorder, use_recorder
 
 from .test_numpy_backend import comb_netlist
@@ -145,6 +149,59 @@ def test_overlapping_cones_share_a_batch():
             netlist, backend="numpy", batch_faults=len(faults)
         ).simulate_stuck_packed(faults, words, 96, drop_detected=drop)
         assert got.detected == want.detected
+
+
+def test_reconvergent_paths_share_a_batch():
+    """Paths of different lengths from one site reconverge on a gate,
+    and a gate reads one net on two pins: each gate must be evaluated
+    once per fault column, after all of its fanins."""
+    netlist = Netlist("reconverge")
+    for net in ("a", "b", "c"):
+        netlist.add_input(net)
+    netlist.add("n1", "NOT", ["a"])
+    netlist.add("n2", "BUF", ["n1"])
+    netlist.add("n3", "NOT", ["n2"])
+    netlist.add("r", "NAND", ["a", "n3", "b"])  # a: 1 and 4 levels away
+    netlist.add("d", "OR", ["r", "n1", "r"])    # r on two pins
+    netlist.add("y", "XNOR", ["d", "n2", "c"])
+    netlist.add_output("y")
+    netlist.add_output("r")
+    validate(netlist)
+    faults = all_stuck_faults(netlist)
+    words = random_pattern_words(netlist, N_PATTERNS, seed=12)
+    for drop in (False, True):
+        want = FaultSimulator(netlist, backend="int").simulate_stuck_packed(
+            faults, words, N_PATTERNS, drop_detected=drop
+        )
+        got = FaultSimulator(
+            netlist, backend="numpy", batch_faults=len(faults)
+        ).simulate_stuck_packed(faults, words, N_PATTERNS,
+                                drop_detected=drop)
+        assert got.detected == want.detected
+
+
+def test_batched_fault_state_is_sparse():
+    """The batched walk stores only the (net, fault) pairs that differ
+    from the good machine, so its traced peak stays far below the dense
+    ``n_slots x B x n_words`` fault state (numpy reports its buffers to
+    tracemalloc)."""
+    netlist = load_circuit("s5378")
+    sim = FaultSimulator(netlist, backend="numpy")
+    faults = all_stuck_faults(netlist)[::37][:48]
+    words = random_pattern_words(netlist, 1024, seed=4)
+    sim.simulate_stuck_packed(faults, words, 1024)  # plan, lazy imports
+    n_slots = len(sim.compiled.names)
+    b_cap = min(select_batch_faults("auto", 1024, n_slots), len(faults))
+    dense = n_slots * b_cap * words_per_batch(1024) * 8
+    tracemalloc.start()
+    try:
+        result = sim.simulate_stuck_packed(faults, words, 1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(faults) == 48 and b_cap > 1
+    assert any(result.detected.values())
+    assert peak < dense / 2, (peak, dense)
 
 
 @given(comb_netlist(), st.integers(65, 150), st.integers(2, 9),
@@ -288,6 +345,10 @@ def test_simulators_share_one_plan(s344_netlist):
         b = sim_b.simulate_stuck_packed(faults, words, 70)
     assert a.detected == b.detected
     assert rec.counter("wide.observe_order_hits") >= 1
+    # The fanout table is built with the plan and shared the same way.
+    fanout = sim_a._wide().fanout
+    assert sim_b._wide().fanout is fanout
+    assert WideEngine(sim_a.compiled).fanout is fanout
 
 
 # ----------------------------------------------------------------------

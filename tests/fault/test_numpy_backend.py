@@ -208,11 +208,15 @@ def test_sharded_numpy_matches_serial_int(s298_netlist):
 
 
 NARY = ["AND", "NAND", "OR", "NOR", "XOR", "XNOR"]
+#: Fixed-arity cells (the mapper's AOI/OAI gates and the scan mux), so
+#: every opcode of the wide evaluator is drawn.
+COMPLEX = {"AOI21": 3, "AOI22": 4, "OAI21": 3, "OAI22": 4, "MUX2": 3}
 
 
 @st.composite
 def comb_netlist(draw):
-    """Random combinational netlist (mirrors the ATPG property tests)."""
+    """Random combinational netlist (mirrors the ATPG property tests,
+    plus the fixed-arity complex cells)."""
     n_inputs = draw(st.integers(2, 4))
     n_gates = draw(st.integers(2, 12))
     netlist = Netlist("wide_rand")
@@ -222,11 +226,11 @@ def comb_netlist(draw):
         nets.append(f"i{i}")
     gates = []
     for g in range(n_gates):
-        func = draw(st.sampled_from(NARY + ["NOT", "BUF"]))
+        func = draw(st.sampled_from(NARY + ["NOT", "BUF"] + sorted(COMPLEX)))
         if func in ("NOT", "BUF"):
             fanin = [draw(st.sampled_from(nets))]
         else:
-            k = draw(st.integers(2, 3))
+            k = COMPLEX.get(func) or draw(st.integers(2, 3))
             fanin = [draw(st.sampled_from(nets)) for _ in range(k)]
         name = f"g{g}"
         netlist.add(name, func, fanin)

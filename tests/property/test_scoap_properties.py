@@ -14,13 +14,12 @@ than hand-picked examples:
   pattern.
 """
 
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import ImplicationEngine, TestabilityAnalyzer, compute_scoap
 from repro.bench.catalog import CircuitSpec
 from repro.bench.generator import generate
-from repro.errors import ReproError
 from repro.netlist import compile_netlist
 
 from tests.analysis.exhaustive import exhaustive_good, stuck_detectable
@@ -40,10 +39,7 @@ def generated_netlist(draw):
         fanout_per_ff=fanout_per_ff,
         unique_ratio=draw(st.floats(1.0, fanout_per_ff)),
     )
-    try:
-        return generate(spec)
-    except ReproError:
-        assume(False)
+    return generate(spec)
 
 
 @given(generated_netlist())
