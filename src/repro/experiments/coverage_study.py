@@ -88,18 +88,18 @@ class CoverageStudyResult:
 def run(circuit_name: str = "s298", seed: int = SEED,
         n_random_pairs: int = 64, n_check_tests: int = 20,
         n_shift_patterns: int = 8, backend: str = "auto",
-        batch_faults="auto") -> CoverageStudyResult:
+        ) -> CoverageStudyResult:
     """Run the full Section IV study on one circuit.
 
-    ``backend``/``batch_faults`` select the fault-simulation engine for
-    both the style comparison and the stuck-at flow; the rendered study
-    is byte-identical across backends (pinned in the test suite).
+    ``backend`` selects the fault-simulation engine for both the style
+    comparison and the stuck-at flow; the rendered study is
+    byte-identical across backends (pinned in the test suite).
     """
     netlist = circuit(circuit_name)
     faults = collapse_transition(netlist, all_transition_faults(netlist))
     results = compare_styles(
         netlist, faults, seed=seed, n_random_pairs=n_random_pairs,
-        backend=backend, batch_faults=batch_faults,
+        backend=backend,
     )
 
     designs = styled_designs(circuit_name)
@@ -121,9 +121,8 @@ def run(circuit_name: str = "s298", seed: int = SEED,
         n_patterns=n_shift_patterns, seed=seed,
     )
 
-    flow = AtpgFlow(netlist, AtpgFlowConfig(
-        seed=seed, backend=backend, batch_faults=batch_faults,
-    )).run()
+    flow = AtpgFlow(netlist, AtpgFlowConfig(seed=seed,
+                                            backend=backend)).run()
     summary = flow.summary()
 
     return CoverageStudyResult(

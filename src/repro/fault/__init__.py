@@ -21,11 +21,9 @@ from .backends import (
     BACKEND_AUTO,
     BACKEND_INT,
     BACKEND_NUMPY,
-    BATCH_AUTO,
     available_backends,
     numpy_available,
     resolve_backend,
-    resolve_batch_faults,
     select_backend,
     select_batch_faults,
 )
@@ -82,11 +80,9 @@ __all__ = [
     "BACKEND_AUTO",
     "BACKEND_INT",
     "BACKEND_NUMPY",
-    "BATCH_AUTO",
     "available_backends",
     "numpy_available",
     "resolve_backend",
-    "resolve_batch_faults",
     "select_backend",
     "select_batch_faults",
     "AtpgFlow",

@@ -73,7 +73,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 from ..errors import SimulationError
 from ..netlist import Netlist
 from ..obs import get_recorder
-from .backends import podem_portfolio, resolve_batch_faults
+from .backends import podem_portfolio
 from .collapse import collapse_stuck, dominance_collapse_stuck
 from .fsim import FaultSimulator
 from .models import StuckFault, all_stuck_faults
@@ -106,9 +106,6 @@ class AtpgFlowConfig:
     backend: str = "auto"          # fault-sim backend ("auto" | "int" |
                                    # "numpy"); bit-identical either way,
                                    # see repro.fault.backends
-    batch_faults: object = "auto"  # faults per wide-engine plan walk
-                                   # ("auto" | int >= 1); bit-identical
-                                   # at every batch size
     race: bool = False             # phase-2 portfolio racing: each hard
                                    # fault under diverse PODEM policies,
                                    # first non-aborted in policy order
@@ -139,10 +136,6 @@ class AtpgFlowConfig:
                 f"backend must be 'auto', 'int' or 'numpy', "
                 f"got {self.backend!r}"
             )
-        try:
-            resolve_batch_faults(self.batch_faults)
-        except SimulationError as exc:
-            raise ValueError(str(exc)) from None
 
 
 @dataclass
@@ -221,8 +214,7 @@ class AtpgFlow:
                  config: Optional[AtpgFlowConfig] = None):
         self.netlist = netlist
         self.config = config or AtpgFlowConfig()
-        self.sim = FaultSimulator(netlist, backend=self.config.backend,
-                                  batch_faults=self.config.batch_faults)
+        self.sim = FaultSimulator(netlist, backend=self.config.backend)
         self._static_untestable: Dict[StuckFault, str] = {}
         guidance = None
         if self.config.use_analysis:
@@ -296,9 +288,7 @@ class AtpgFlow:
                       processes=self.config.processes):
             with ShardedFaultSimulator(self.netlist,
                                        self.config.processes,
-                                       backend=self.config.backend,
-                                       batch_faults=self.config.batch_faults,
-                                       ) as pool:
+                                       backend=self.config.backend) as pool:
                 pool.load_faults(active)
                 with rec.span("atpg.phase1_random", cat="atpg",
                               circuit=self.netlist.name):
@@ -812,7 +802,7 @@ def run_flow(netlist: Netlist,
 
 #: Bump when the canonical artifact layout changes: two artifacts are
 #: only ever byte-compared within one schema.
-ARTIFACT_SCHEMA = 1
+ARTIFACT_SCHEMA = 2
 
 
 def flow_artifact(circuit: str, config: AtpgFlowConfig,
@@ -879,10 +869,6 @@ def atpg_main(argv: Optional[List[str]] = None) -> int:
                         help="fault-simulation backend for the phase-1 "
                              "random patterns (bit-identical results; "
                              "default auto)")
-    parser.add_argument("--batch-faults", default="auto",
-                        help="faults per wide-engine plan walk: 'auto' "
-                             "(default) or a positive integer "
-                             "(1 = per-fault; bit-identical results)")
     parser.add_argument("--no-dominance", action="store_true",
                         help="disable dominance ordering of phase-2 "
                              "targets")
@@ -925,7 +911,6 @@ def atpg_main(argv: Optional[List[str]] = None) -> int:
             use_analysis=args.analysis,
             processes=args.processes,
             backend=args.backend,
-            batch_faults=args.batch_faults,
             race=args.race,
             speculate=args.speculate,
         )

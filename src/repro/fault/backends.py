@@ -24,17 +24,16 @@ fast).  Requesting ``"numpy"`` explicitly without numpy installed
 raises :class:`~repro.errors.SimulationError`; everything else
 degrades gracefully to ``"int"``.
 
-The registry also owns the ``batch_faults`` knob: how many faults the
-wide engine packs into one plan walk (``"auto"`` sizes the batch from
-circuit stats and the pattern width).  The knob is a pure performance
-lever -- batched results are
-pinned bit-identical to both the per-fault wide path and the integer
-kernels.
+The registry also sizes the wide engine's fault batch: how many faults
+one plan walk carries (:func:`select_batch_faults`, from the circuit
+size and the pattern width).  The size is purely a performance choice
+-- the walk's results are pinned bit-identical to the integer kernels
+at every batch size.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 from ..errors import SimulationError
 
@@ -52,17 +51,14 @@ WIDE_MIN_PATTERNS = 65
 #: stress circuits (3.6x at 58k gates, 8x at 207k, 4096 patterns).
 WIDE_MIN_GATES = 25_000
 
-#: Sentinel for "size the fault batch from circuit stats".
-BATCH_AUTO = "auto"
-
 #: Hard ceiling on faults per wide-engine batch.  Past this the
 #: per-level pair bookkeeping stops amortizing the python overhead it
 #: is meant to remove.
 WIDE_MAX_BATCH_FAULTS = 64
 
-#: Sets the ``auto`` batch size: ``auto`` divides this word count by
-#: the per-fault footprint ``n_slots * n_words``.  The batched walk
-#: stores only the (net, fault) pairs that differ from the good
+#: Sets the batch size: :func:`select_batch_faults` divides this word
+#: count by the per-fault footprint ``n_slots * n_words``.  The batched
+#: walk stores only the (net, fault) pairs that differ from the good
 #: machine, so the constant no longer bounds an allocation; it is kept
 #: at its measured value because it alone fixes the batch sizes.
 WIDE_BATCH_BUDGET_WORDS = 16_000_000
@@ -137,41 +133,10 @@ def select_backend(name: Optional[str], n_patterns: int,
     return resolve_backend(name)
 
 
-def resolve_batch_faults(value: Union[int, str, None]) -> Union[int, str]:
-    """Validate a ``batch_faults`` knob value.
+def select_batch_faults(n_patterns: int, n_slots: int) -> int:
+    """Faults per wide-engine plan walk for one packed call.
 
-    Returns :data:`BATCH_AUTO` for ``None``/``"auto"``, the integer for
-    a positive int (or a string spelling one, as CLI flags deliver),
-    and raises :class:`~repro.errors.SimulationError` for anything
-    else.  Call this at construction time so a bad knob fails fast
-    instead of deep inside a worker.
-    """
-    if value is None or value == BATCH_AUTO:
-        return BATCH_AUTO
-    if isinstance(value, bool):
-        pass  # bools are ints but never a sensible batch size
-    elif isinstance(value, int):
-        if value >= 1:
-            return value
-    elif isinstance(value, str):
-        try:
-            parsed = int(value.strip())
-        except ValueError:
-            parsed = 0
-        if parsed >= 1:
-            return parsed
-    raise SimulationError(
-        f"invalid batch_faults {value!r}: must be 'auto' or a positive "
-        f"integer"
-    )
-
-
-def select_batch_faults(value: Union[int, str, None], n_patterns: int,
-                        n_slots: int) -> int:
-    """Effective faults-per-batch for one packed call.
-
-    An explicit integer is honoured as-is.  ``"auto"`` divides
-    :data:`WIDE_BATCH_BUDGET_WORDS` by the per-fault footprint
+    Divides :data:`WIDE_BATCH_BUDGET_WORDS` by the per-fault footprint
     (``n_slots`` value slots times the word count for ``n_patterns``
     lanes), clamped to ``[1, WIDE_MAX_BATCH_FAULTS]`` -- wide pattern
     batches on huge circuits get small fault batches, the narrow
@@ -179,9 +144,6 @@ def select_batch_faults(value: Union[int, str, None], n_patterns: int,
     quotient only sets the batch size: the batched walk's memory
     follows the faults' live effects, not this footprint.
     """
-    value = resolve_batch_faults(value)
-    if value != BATCH_AUTO:
-        return value
     n_words = max(1, (n_patterns + 63) // 64)
     per_fault = max(1, n_slots) * n_words
     return max(1, min(WIDE_MAX_BATCH_FAULTS,

@@ -69,8 +69,8 @@ def fill_cube(cube: dict, inputs: Sequence[str], fill: int = 0) -> dict:
 def compact_two_pattern_tests(netlist: Netlist,
                               faults: Sequence[TransitionFault],
                               tests: Sequence[TwoPatternTest],
-                              chunk: int = 60, backend: str = "auto",
-                              batch_faults="auto") -> CompactionResult:
+                              chunk: int = 60,
+                              backend: str = "auto") -> CompactionResult:
     """Reverse-order static compaction of a two-pattern test set.
 
     Returns the kept tests in their original relative order.  The
@@ -80,8 +80,7 @@ def compact_two_pattern_tests(netlist: Netlist,
     """
     if not tests:
         return CompactionResult((), 0, 0)
-    sim = FaultSimulator(netlist, backend=backend,
-                         batch_faults=batch_faults)
+    sim = FaultSimulator(netlist, backend=backend)
     # detections[i] = set of fault indices test i detects.
     detections: List[Set[int]] = [set() for _ in tests]
     fault_list = list(faults)

@@ -10,6 +10,12 @@ The inner loops run on the :class:`~repro.netlist.CompiledNetlist`
 flat arrays: integer opcodes, integer fanin indices, and per-site cone
 position lists cached on the compiled netlist (shared, via the content
 hash cache, with every other simulator over the same circuit).
+Under the numpy backend (:mod:`repro.fault.backends`) the bulk entry
+points hand the whole fault list to the one wide kernel,
+:meth:`~repro.netlist.wide.WideEngine.detect_batched`, which walks the
+level plan once per batch of faults (batch size from
+:func:`~repro.fault.backends.select_batch_faults`) and returns masks
+bit-identical to the integer kernels.
 
 Observation points are the combinational core outputs: primary outputs
 plus flip-flop data inputs (captured into the scan chain and shifted
@@ -43,9 +49,7 @@ from .backends import (
     BACKEND_AUTO,
     BACKEND_INT,
     BACKEND_NUMPY,
-    BATCH_AUTO,
     get_wide_engine,
-    resolve_batch_faults,
     select_backend,
     select_batch_faults,
 )
@@ -94,22 +98,16 @@ class FaultSimulator:
     importable (see :mod:`repro.fault.backends`).  Both backends are
     bit-identical; the low-level per-fault methods
     (:meth:`detect_stuck_arr`, :meth:`detect_stuck_many`) always run
-    the integer kernels.
-
-    ``batch_faults`` controls how many faults the wide engine packs
-    into one plan walk (``"auto"`` sizes the batch from circuit stats,
-    an int pins it, ``1`` restores the per-fault wide path).  Purely a
-    performance knob -- results are identical at every batch size.
+    the integer kernels.  The wide engine walks the fault list in
+    batches sized by :func:`~repro.fault.backends.select_batch_faults`.
     """
 
-    def __init__(self, netlist: Netlist, backend: str = BACKEND_AUTO,
-                 batch_faults=BATCH_AUTO):
+    def __init__(self, netlist: Netlist, backend: str = BACKEND_AUTO):
         self.netlist = netlist
         self.sim = LogicSimulator(netlist)
         self.compiled = self.sim.compiled
         self.observe: Tuple[str, ...] = tuple(netlist.core_outputs)
         self.backend = backend
-        self.batch_faults = resolve_batch_faults(batch_faults)
         self._wide_engine = None
 
     def _wide(self):
@@ -131,15 +129,10 @@ class FaultSimulator:
         return select_backend(self.backend, n_patterns, n_gates)
 
     def _batch_for(self, n_patterns: int) -> int:
-        """Effective faults-per-batch for one wide call."""
-        return select_batch_faults(self.batch_faults, n_patterns,
-                                   len(self.compiled.names))
+        """Faults per wide-engine plan walk for one call."""
+        return select_batch_faults(n_patterns, len(self.compiled.names))
 
     # ------------------------------------------------------------------
-    def _cone_order(self, net: str) -> Tuple[str, ...]:
-        """Topologically sorted combinational fanout cone of ``net``."""
-        return self.compiled.cone_names(net)
-
     def good_values(self, patterns: Sequence[Mapping[str, int]],
                     strict: bool = True) -> Tuple[Dict[str, int], int]:
         """Pack and simulate the fault-free machine.
@@ -381,12 +374,11 @@ class FaultSimulator:
             detected[fault] = None
             pending.append((fault, word_from_row(launch),
                             (slot, site_row, limit)))
-        if pending:
-            masks = engine.detect_batched([p[2] for p in pending], good2,
-                                          maskw, self._batch_for(n_pairs),
-                                          early_exit=drop_detected)
-            for (fault, launch_int, _), stuck_mask in zip(pending, masks):
-                detected[fault] = launch_int & stuck_mask
+        masks = engine.detect_batched([p[2] for p in pending], good2,
+                                      maskw, self._batch_for(n_pairs),
+                                      early_exit=drop_detected)
+        for (fault, launch_int, _), stuck_mask in zip(pending, masks):
+            detected[fault] = launch_int & stuck_mask
         return FaultSimResult(detected=detected, n_patterns=n_pairs)
 
     # -- bulk entry points ---------------------------------------------

@@ -72,7 +72,7 @@ def sample_delay_defects(netlist: Netlist, n_defects: int = 50,
 def escape_study(netlist: Netlist,
                  test_sets: Mapping[str, Sequence[TwoPatternTest]],
                  n_defects: int = 50, seed: int = 2005,
-                 backend: str = "auto", batch_faults="auto",
+                 backend: str = "auto",
                  ) -> Dict[str, EscapeReport]:
     """Escape rate of each labelled test set over one defect sample.
 
@@ -82,8 +82,7 @@ def escape_study(netlist: Netlist,
     report.
     """
     defects = sample_delay_defects(netlist, n_defects, seed)
-    sim = FaultSimulator(netlist, backend=backend,
-                         batch_faults=batch_faults)
+    sim = FaultSimulator(netlist, backend=backend)
     reports: Dict[str, EscapeReport] = {}
     for label, tests in test_sets.items():
         if tests:

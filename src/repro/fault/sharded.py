@@ -61,9 +61,7 @@ from ..obs import get_recorder
 from .backends import (
     BACKEND_AUTO,
     BACKEND_INT,
-    BATCH_AUTO,
     resolve_backend,
-    resolve_batch_faults,
     select_batch_faults,
 )
 from .fsim import FaultSimResult, FaultSimulator
@@ -350,8 +348,7 @@ class _WorkerSession:
 
 
 def _worker_main(conn, worker_id: int, netlist_data: Dict,
-                 backend: str = BACKEND_INT,
-                 batch_faults=BATCH_AUTO) -> None:
+                 backend: str = BACKEND_INT) -> None:
     """Worker entry: compile once, then stream requests forever.
 
     See :class:`_WorkerSession` for the message protocol.
@@ -360,8 +357,7 @@ def _worker_main(conn, worker_id: int, netlist_data: Dict,
         netlist = from_dict(netlist_data)
         # compile_netlist inside: memory tier (inherited on fork),
         # then the shared disk tier, then a local compile.
-        sim = FaultSimulator(netlist, backend=backend,
-                             batch_faults=batch_faults)
+        sim = FaultSimulator(netlist, backend=backend)
         conn.send(("ready", worker_id))
     except BaseException as exc:  # noqa: BLE001 -- must report, not die silently
         try:
@@ -411,24 +407,22 @@ class ShardedFaultSimulator:
     compose with fault shards *across* workers.  Both backends merge
     bit-identically, so the choice never changes results.
 
-    ``batch_faults`` is forwarded to each worker's simulator, and the
-    fan-out deals faults to workers in whole blocks of that size
-    (``shard_faults(..., block=...)``) so every worker-side wide-engine
-    batch is a contiguous run of the submitted fault list instead of a
-    round-robin sample.  Like the backend, it never changes results.
+    The fan-out deals faults to workers in whole blocks of the
+    worker-side wide-engine batch size (``shard_faults(..., block=...)``)
+    so every such batch is a contiguous run of the submitted fault list
+    instead of a round-robin sample.  Like the backend, the blocking
+    never changes results.
     """
 
     def __init__(self, netlist: Netlist, processes: int = 1,
                  request_timeout: Optional[float] = None,
-                 backend: str = BACKEND_AUTO,
-                 batch_faults=BATCH_AUTO):
+                 backend: str = BACKEND_AUTO):
         if processes < 1:
             raise ValueError(f"processes must be >= 1, got {processes}")
         self.netlist = netlist
         self.processes = processes
         self.request_timeout = request_timeout
         self.backend = backend
-        self.batch_faults = resolve_batch_faults(batch_faults)
         self._workers: List[Tuple] = []       # (proc, conn) per shard
         self._serial: Optional[FaultSimulator] = None
         self._req_ids = itertools.count()
@@ -452,9 +446,8 @@ class ShardedFaultSimulator:
         """Block size for dealing faults to workers: the worker-side
         wide-engine batch size at nominal (one-word) pattern width,
         estimated from cheap netlist stats -- the parent never compiles
-        just to shard.  1 (plain round-robin) when batching is off."""
-        return select_batch_faults(self.batch_faults, 64,
-                                   len(self.netlist))
+        just to shard."""
+        return select_batch_faults(64, len(self.netlist))
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> "ShardedFaultSimulator":
@@ -462,14 +455,12 @@ class ShardedFaultSimulator:
         if self._started:
             return self
         # Fail fast in the parent on an unsatisfiable backend request
-        # (e.g. explicit "numpy" without numpy) or a garbage batch knob
-        # instead of shipping the failure to every worker.
+        # (e.g. explicit "numpy" without numpy) instead of shipping the
+        # failure to every worker.
         resolve_backend(self.backend)
-        resolve_batch_faults(self.batch_faults)
         if self.processes == 1:
             self._serial = FaultSimulator(self.netlist,
-                                          backend=self.backend,
-                                          batch_faults=self.batch_faults)
+                                          backend=self.backend)
             self._started = True
             return self
         try:
@@ -491,8 +482,7 @@ class ShardedFaultSimulator:
                     parent_conn, child_conn = ctx.Pipe(duplex=True)
                     proc = ctx.Process(
                         target=_worker_main,
-                        args=(child_conn, worker_id, data, self.backend,
-                              self.batch_faults),
+                        args=(child_conn, worker_id, data, self.backend),
                         daemon=True,
                     )
                     proc.start()
@@ -974,8 +964,7 @@ class ShardedFaultSimulator:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         new_proc = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, worker_id, self._netlist_data,
-                  self.backend, self.batch_faults),
+            args=(child_conn, worker_id, self._netlist_data, self.backend),
             daemon=True,
         )
         new_proc.start()
@@ -1080,10 +1069,6 @@ def fsim_main(argv: Optional[List[str]] = None) -> int:
                              "numpy wide-batch engine, or auto "
                              "(numpy for multi-word batches when "
                              "importable; default)")
-    parser.add_argument("--batch-faults", default="auto",
-                        help="faults per wide-engine plan walk: 'auto' "
-                             "(sized from circuit stats; default), or a "
-                             "positive integer (1 = per-fault)")
     parser.add_argument("--patterns", type=int, default=64,
                         help="random patterns to simulate (default 64)")
     parser.add_argument("--max-faults", type=int, default=None,
@@ -1101,10 +1086,12 @@ def fsim_main(argv: Optional[List[str]] = None) -> int:
                              "compile-cache statistics)")
     add_trace_argument(parser)
     args = parser.parse_args(argv)
-    try:
-        resolve_batch_faults(args.batch_faults)
-    except SimulationError as exc:
-        parser.error(str(exc))
+    if args.processes < 1:
+        parser.error(f"--processes must be >= 1, got {args.processes}")
+    if args.patterns < 0:
+        parser.error(f"--patterns must be >= 0, got {args.patterns}")
+    if args.max_faults is not None and args.max_faults < 0:
+        parser.error(f"--max-faults must be >= 0, got {args.max_faults}")
 
     status = 0
     manifest_extra: Dict[str, object] = {"seed": args.seed,
@@ -1120,9 +1107,7 @@ def fsim_main(argv: Optional[List[str]] = None) -> int:
                                          args.seed)
             start = time.perf_counter()
             with ShardedFaultSimulator(netlist, args.processes,
-                                       backend=args.backend,
-                                       batch_faults=args.batch_faults,
-                                       ) as pool:
+                                       backend=args.backend) as pool:
                 result = pool.simulate_stuck_packed(
                     faults, words, args.patterns, drop_detected=args.drop
                 )
@@ -1131,7 +1116,6 @@ def fsim_main(argv: Optional[List[str]] = None) -> int:
                 "circuit": name,
                 "processes": args.processes,
                 "backend": args.backend,
-                "batch_faults": args.batch_faults,
                 "n_faults": len(faults),
                 "n_patterns": args.patterns,
                 "drop": args.drop,

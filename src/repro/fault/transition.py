@@ -89,10 +89,9 @@ class TransitionAtpg:
                  backtrack_limit: int = 50, seed: int = 2005,
                  held_state: Optional[Sequence[str]] = None,
                  deterministic_broadside: bool = True,
-                 backend: str = "auto", batch_faults="auto"):
+                 backend: str = "auto"):
         self.netlist = netlist
-        self.fsim = FaultSimulator(netlist, backend=backend,
-                                   batch_faults=batch_faults)
+        self.fsim = FaultSimulator(netlist, backend=backend)
         self.logic = LogicSimulator(netlist)
         self.podem = Podem(netlist, backtrack_limit)
         self.backtrack_limit = backtrack_limit
@@ -332,19 +331,19 @@ def compare_styles(netlist: Netlist, faults: Sequence[TransitionFault],
                    scan_chain: Optional[Sequence[str]] = None,
                    seed: int = 2005,
                    n_random_pairs: int = 64,
-                   backend: str = "auto", batch_faults="auto",
+                   backend: str = "auto",
                    ) -> Dict[str, TransitionAtpgResult]:
     """Transition coverage under all three application styles.
 
     The paper's Section I/IV claim reproduced: arbitrary (enhanced scan
     = FLH) coverage dominates skewed-load, which dominates broadside.
-    ``backend``/``batch_faults`` thread through to the per-style
-    engines' fault simulators (results are backend-independent).
+    ``backend`` threads through to the per-style engines' fault
+    simulators (results are backend-independent).
     """
     results: Dict[str, TransitionAtpgResult] = {}
     for style in STYLES:
         engine = TransitionAtpg(netlist, scan_chain, seed=seed,
-                                backend=backend, batch_faults=batch_faults)
+                                backend=backend)
         results[style] = engine.generate(
             faults, style=style, n_random_pairs=n_random_pairs
         )

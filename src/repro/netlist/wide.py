@@ -20,12 +20,11 @@ Two structural ideas make the engine fast on large circuits:
   the good machine are re-evaluated, and a gate whose re-evaluated
   words equal the good-machine words drops out, so masked fault effects
   die instead of re-evaluating the whole structural cone.  The
-  per-fault walk (:meth:`WideEngine.detect_many`) keeps a boolean
-  ``changed`` vector and finds a level's active gates with one
-  ``logical_or.reduceat`` over the level's pins.  The fault-batched
-  walk (:meth:`WideEngine.detect_batched`) stores only the (net, fault)
-  pairs that differ and wakes gates through the fanout table, so it
-  never touches a gate or a fault column that nothing reached.  The
+  engine's only fault kernel, :meth:`WideEngine.detect_batched`,
+  carries a batch of one or more faults through each plan walk: it
+  stores only the (net, fault) pairs that differ and wakes gates
+  through the fanout table, so it never touches a gate or a fault
+  column that nothing reached.  The
   packed-int kernels always evaluate the full cone; on circuits 10-100x
   beyond s38584 (where cones are huge and fault effects narrow) this is
   where the wide backend pulls ahead.
@@ -331,11 +330,12 @@ class WideEngine:
                     _eval_stack(op, values[fin], maskw)
 
     # -- fault detection ----------------------------------------------
-    def detect_many(
+    def detect_batched(
         self,
         sites: Sequence[Tuple[int, "np.ndarray", Optional["np.ndarray"]]],
         good: "np.ndarray",
         maskw: "np.ndarray",
+        batch: int,
         early_exit: bool = False,
     ) -> List[int]:
         """Detection words for a list of forced-site faults.
@@ -349,68 +349,8 @@ class WideEngine:
         <repro.fault.fsim.FaultSimulator.detect_stuck_arr>` contract:
         ``early_exit`` stops at the first observation point showing a
         difference.
-        """
-        plan = self.plan
-        observe_arr = self.observe_arr
-        n_words = good.shape[1]
-        faulty = good.copy()
-        changed = np.zeros(good.shape[0], dtype=bool)
-        results: List[int] = []
-        for slot, site_row, limit_row in sites:
-            limit = maskw if limit_row is None else limit_row
-            # Fault not excited where the good value equals the site value.
-            if not ((good[slot] ^ site_row) & limit).any():
-                results.append(0)
-                continue
-            faulty[slot] = site_row
-            changed[slot] = True
-            touched = [np.array([slot], dtype=np.intp)]
-            for out, pins, offs, subgroups, bounds, _counts in plan:
-                active = np.logical_or.reduceat(changed[pins], offs)
-                if not active.any():
-                    continue
-                idx = np.flatnonzero(active)
-                locs = np.searchsorted(idx, bounds)
-                for k, (op, start, fin) in enumerate(subgroups):
-                    lo, hi = locs[k], locs[k + 1]
-                    if lo == hi:
-                        continue
-                    sel = idx[lo:hi]
-                    o = out[sel]
-                    v = _eval_stack(op, faulty[fin[:, sel - start]], maskw)
-                    faulty[o] = v
-                    changed[o] = (v != good[o]).any(axis=1)
-                    touched.append(o)
-            detected = 0
-            obs_changed = changed[observe_arr]
-            if obs_changed.any():
-                candidates = observe_arr[np.flatnonzero(obs_changed)]
-                diffs = (good[candidates] ^ faulty[candidates]) & limit
-                nonzero = diffs.any(axis=1)
-                if early_exit:
-                    if nonzero.any():
-                        detected = word_from_row(diffs[np.argmax(nonzero)])
-                else:
-                    acc = np.zeros(n_words, dtype=np.uint64)
-                    for row in diffs[nonzero]:
-                        acc |= row
-                    detected = word_from_row(acc)
-            results.append(detected)
-            restore = np.concatenate(touched)
-            faulty[restore] = good[restore]
-            changed[restore] = False
-        return results
 
-    def detect_batched(
-        self,
-        sites: Sequence[Tuple[int, "np.ndarray", Optional["np.ndarray"]]],
-        good: "np.ndarray",
-        maskw: "np.ndarray",
-        batch: int,
-        early_exit: bool = False,
-    ) -> List[int]:
-        """:meth:`detect_many`, but ``batch`` faults per plan walk.
-
+        The faults run ``batch`` per plan walk (any size from 1 up).
         Fault ``b`` of a batch is column ``b`` of a sparse fault state
         (:class:`_SparseFaults`): only the (net, column) pairs whose
         words differ from the good machine are stored.  The walk is
@@ -429,11 +369,12 @@ class WideEngine:
         forced value survives the walk even when another fault in the
         batch drives gates through the site.
 
-        Results are bit-identical to :meth:`detect_many` -- same
-        excitation check, observation order, and early-exit contract.
+        Results are bit-identical to the integer kernels at every batch
+        size -- same excitation check, observation order, and
+        early-exit contract.
         """
-        if batch <= 1 or len(sites) <= 1:
-            return self.detect_many(sites, good, maskw, early_exit)
+        if not sites:
+            return []
         b_cap = min(batch, len(sites))
         state = _SparseFaults(good, b_cap)
         pending = np.zeros((len(self.compiled.fanins), b_cap), dtype=bool)
@@ -471,7 +412,7 @@ class WideEngine:
         site_rows = []
         for b, (slot, site_row, limit_row) in enumerate(chunk):
             limit = maskw if limit_row is None else limit_row
-            # Same excitation check as the per-fault path.
+            # Same excitation check as the integer kernels.
             if not ((good[slot] ^ site_row) & limit).any():
                 continue
             injected.append((b, limit))

@@ -272,12 +272,13 @@ def bench_fsim_numpy(quick: bool) -> List[Dict[str, object]]:
 
     Workload: a synthetic stress circuit well beyond s38584
     (:func:`repro.bench.generator.stress_spec`) under a 4096-pattern
-    batch -- the wide-batch regime the numpy backend exists for.  Both
+    batch -- the wide-batch regime the numpy backend exists for.  The
+    numpy side is the default engine, fault batch size included.  Both
     backends run fault-dropping mode on the same fault sample;
     full-mask mode gets its own (smaller) sample in full runs.
     Hard-asserts bit-identical detection masks; the speedup rows carry
-    committed floors (measured ~2.4-3.6x on the quick workload, ~8x on
-    the full one).  When numpy is not importable the rows are waived with
+    committed floors (the quick row read 7.64x on a 2-vCPU host).
+    When numpy is not importable the rows are waived with
     ``min_speedup: 0`` -- the integer kernels are then the only
     backend, so there is nothing to compare.
     """
@@ -305,10 +306,7 @@ def bench_fsim_numpy(quick: bool) -> List[Dict[str, object]]:
     words = random_pattern_words(netlist, n_patterns, seed=11)
 
     int_sim = FaultSimulator(netlist, backend="int")
-    # batch_faults=1 pins the per-fault wide path: this kernel measures
-    # the pattern-wide engine alone; fault batching has its own group
-    # (bench_fsim_batched) with its own floors.
-    numpy_sim = FaultSimulator(netlist, backend="numpy", batch_faults=1)
+    numpy_sim = FaultSimulator(netlist, backend="numpy")
 
     t_int = _timed_best(
         lambda: int_sim.simulate_stuck_packed(
@@ -380,138 +378,6 @@ def bench_fsim_numpy(quick: bool) -> List[Dict[str, object]]:
             "note": (
                 f"speedup {full_speedup:.2f}x at {n_patterns} patterns "
                 f"(full-mask mode), identical masks"
-            ),
-        })
-    return rows
-
-
-def bench_fsim_batched(quick: bool) -> List[Dict[str, object]]:
-    """Fault-batched wide engine vs the per-fault numpy path.
-
-    Workload: a stress circuit at a 256-pattern batch -- the
-    narrow-batch, many-fault regime of the two-phase ATPG random
-    phase, where per-fault dispatch overhead (one plan walk per fault)
-    dominates and fault batching exists to amortize it.  Both runs use
-    the numpy backend; the only difference is ``batch_faults`` (1
-    vs ``auto``), so the speedup isolates the batching itself.
-    Hard-asserts batched masks identical to the per-fault numpy run on
-    the full sample and to the integer kernels on a subsample (the
-    full cross-backend identity is pinned per catalog circuit in the
-    test suite).  Waived with ``min_speedup: 0`` when numpy is not
-    importable.
-    """
-    from ..bench.generator import generate, stress_spec
-    from ..fault.backends import numpy_available
-
-    scale, depth, stride, floor = (
-        (3, 36, 40, 1.5) if quick else (10, 48, 120, 2.0)
-    )
-    name = f"stress{scale}x"
-    if not numpy_available():
-        return [{
-            "kernel": "fsim_batched_speedup",
-            "circuit": name,
-            "n": 0,
-            "seconds": None,
-            "speedup": 0.0,
-            "min_speedup": 0.0,
-            "note": "floor waived: numpy not importable, int backend only",
-        }]
-
-    n_patterns = 256
-    netlist = generate(stress_spec(scale, depth=depth))
-    faults = all_stuck_faults(netlist)[::stride]
-    words = random_pattern_words(netlist, n_patterns, seed=11)
-
-    per_fault = FaultSimulator(netlist, backend="numpy", batch_faults=1)
-    batched = FaultSimulator(netlist, backend="numpy", batch_faults="auto")
-    batch = batched._batch_for(n_patterns)
-
-    t_pf = _timed_best(
-        lambda: per_fault.simulate_stuck_packed(
-            faults, words, n_patterns, drop_detected=True)
-    )
-    t_b = _timed_best(
-        lambda: batched.simulate_stuck_packed(
-            faults, words, n_patterns, drop_detected=True)
-    )
-    if t_b["value"].detected != t_pf["value"].detected:
-        raise AssertionError(
-            f"{name}: batched drop-mode masks differ from per-fault numpy"
-        )
-    # Cross-backend spot check against the integer kernels on a
-    # subsample (a full int run at stress scale would dominate the
-    # bench; full identity is pinned per catalog circuit in tests).
-    sub = faults[::7]
-    int_sub = FaultSimulator(netlist, backend="int").simulate_stuck_packed(
-        sub, words, n_patterns, drop_detected=True)
-    batched_sub = batched.simulate_stuck_packed(
-        sub, words, n_patterns, drop_detected=True)
-    if batched_sub.detected != int_sub.detected:
-        raise AssertionError(
-            f"{name}: batched drop-mode masks differ from int kernels"
-        )
-    speedup = t_pf["seconds"] / max(t_b["seconds"], 1e-9)
-    rows: List[Dict[str, object]] = [
-        {
-            "kernel": "fsim_batched_drop",
-            "circuit": name,
-            "n": len(faults),
-            "seconds": t_b["seconds"],
-            "n_patterns": n_patterns,
-            "batch_faults": batch,
-        },
-        {
-            "kernel": "fsim_batched_per_fault",
-            "circuit": name,
-            "n": len(faults),
-            "seconds": t_pf["seconds"],
-            "compare_only": True,
-        },
-        {
-            "kernel": "fsim_batched_speedup",
-            "circuit": name,
-            "n": len(faults),
-            "seconds": None,
-            "speedup": speedup,
-            "min_speedup": floor,
-            "identical_masks": True,
-            "note": (
-                f"speedup {speedup:.2f}x over per-fault numpy at "
-                f"{n_patterns} patterns, batch {batch} (drop mode), "
-                f"identical masks"
-            ),
-        },
-    ]
-    if not quick:
-        full_faults = faults[::3]
-        t_pf_full = _timed_best(
-            lambda: per_fault.simulate_stuck_packed(
-                full_faults, words, n_patterns)
-        )
-        t_b_full = _timed_best(
-            lambda: batched.simulate_stuck_packed(
-                full_faults, words, n_patterns)
-        )
-        if t_b_full["value"].detected != t_pf_full["value"].detected:
-            raise AssertionError(
-                f"{name}: batched full-mask masks differ from per-fault "
-                f"numpy"
-            )
-        full_speedup = (
-            t_pf_full["seconds"] / max(t_b_full["seconds"], 1e-9)
-        )
-        rows.append({
-            "kernel": "fsim_batched_full_speedup",
-            "circuit": name,
-            "n": len(full_faults),
-            "seconds": None,
-            "speedup": full_speedup,
-            "min_speedup": 1.5,
-            "identical_masks": True,
-            "note": (
-                f"speedup {full_speedup:.2f}x over per-fault numpy at "
-                f"{n_patterns} patterns (full-mask mode), identical masks"
             ),
         })
     return rows
@@ -971,7 +837,6 @@ KERNEL_GROUPS = (
     bench_fsim_stuck,
     bench_fsim_stuck_sharded,
     bench_fsim_numpy,
-    bench_fsim_batched,
     bench_compile_cache,
     bench_fsim_transition,
     bench_eval3,

@@ -306,7 +306,7 @@ class TestFlowArtifact:
                             AtpgFlow(load_circuit("s27"), config).run())
         assert one == two
         payload = json.loads(one)
-        assert payload["schema"] == 1
+        assert payload["schema"] == 2
         assert payload["circuit"] == "s27"
         assert one.endswith(b"\n")
 
@@ -339,23 +339,23 @@ class TestFlowArtifact:
     ARTIFACT_SHA256 = {
         "1": (
             {"processes": 1},
-            "d312a9723308d0a197f1efa36082edf6a55d7776bb310d4433f535709945e970",
+            "e83b57d7757eca8a190c89d2abcc8000d54b8a790b66e83cd376a89554b831db",
         ),
         "2": (
             {"processes": 2},
-            "3e059f97fabdafe4d22f0062a198659570de560d5045c04f5e78b51c57fa04d9",
+            "dc5cf93e0c0315fb0682eede73cf5f003f3b4d1226308a084290d7c32397cfe5",
         ),
         "analysis": (
             {"use_analysis": True},
-            "d7453af922f039f7f2ff520700fe87cbda563c8dc78a9d51e3f962bafd42c04b",
+            "67b9874f4474a3a2d476a2ba3b497ceb5ff5a7278bbe797656576ac15dd7f173",
         ),
         "race": (
             {"race": True},
-            "ecd0a06eba6586f7b0207be226f55937c8dadfaceee45d5b8b53c54e0e5a73ff",
+            "9e0ef87a7e92dbeaac674b090e2a264380d2897677dd653e2aee4a57adc3ec72",
         ),
         "analysis-2": (
             {"use_analysis": True, "processes": 2},
-            "85c9859d0ebaad0552d54434b27184396ad77df7750ca33165af820b00ac35d5",
+            "0544175b56f5c03746b6c65e4d80f15052f96ad462b860336e7a84b4ef617f49",
         ),
     }
 

@@ -22,13 +22,11 @@ from repro.fault import (
     select_backend,
 )
 from repro.fault.backends import (
-    BATCH_AUTO,
     WIDE_MAX_BATCH_FAULTS,
     WIDE_BATCH_BUDGET_WORDS,
     WIDE_MIN_GATES,
     WIDE_MIN_PATTERNS,
     get_wide_engine,
-    resolve_batch_faults,
     select_batch_faults,
 )
 
@@ -110,59 +108,25 @@ class TestSelect:
 
 
 class TestBatchFaults:
-    """The batch_faults knob: validation and auto sizing."""
-
-    def test_auto_and_none_resolve_to_auto(self):
-        assert resolve_batch_faults(None) == BATCH_AUTO
-        assert resolve_batch_faults("auto") == BATCH_AUTO
-
-    def test_explicit_ints_pass_through(self):
-        assert resolve_batch_faults(1) == 1
-        assert resolve_batch_faults(64) == 64
-        assert resolve_batch_faults("16") == 16  # CLI strings parse
-
-    @pytest.mark.parametrize("garbage", [0, -3, 2.5, "x", "-1", "", True])
-    def test_garbage_raises_loudly(self, garbage):
-        with pytest.raises(SimulationError, match="batch_faults"):
-            resolve_batch_faults(garbage)
-
-    def test_explicit_batch_ignores_workload(self):
-        assert select_batch_faults(7, 4096, 10**9) == 7
+    """Sizing of the wide engine's fault batch."""
 
     def test_auto_batch_caps_at_max(self):
         # Tiny circuit, one word: budget allows far more than the cap.
-        assert select_batch_faults("auto", 64, 100) == \
-            WIDE_MAX_BATCH_FAULTS
+        assert select_batch_faults(64, 100) == WIDE_MAX_BATCH_FAULTS
 
     def test_auto_batch_shrinks_with_footprint(self):
         # One fault's state just fits the budget -> batch of 1.
         n_slots = WIDE_BATCH_BUDGET_WORDS
-        assert select_batch_faults("auto", 64, n_slots) == 1
+        assert select_batch_faults(64, n_slots) == 1
         # Half the budget per fault -> batch of 2.
-        assert select_batch_faults("auto", 64, n_slots // 2) == 2
+        assert select_batch_faults(64, n_slots // 2) == 2
 
     def test_auto_batch_accounts_for_pattern_words(self):
         n_slots = 250_000
-        wide = select_batch_faults("auto", 4096, n_slots)   # 64 words
-        narrow = select_batch_faults("auto", 256, n_slots)  # 4 words
+        wide = select_batch_faults(4096, n_slots)   # 64 words
+        narrow = select_batch_faults(256, n_slots)  # 4 words
         assert wide < narrow
         assert wide >= 1
-
-    def test_simulator_validates_at_construction(self, s27_netlist):
-        with pytest.raises(SimulationError, match="batch_faults"):
-            FaultSimulator(s27_netlist, batch_faults=0)
-
-    def test_pool_validates_at_construction(self, s27_netlist):
-        from repro.fault import ShardedFaultSimulator
-
-        with pytest.raises(SimulationError, match="batch_faults"):
-            ShardedFaultSimulator(s27_netlist, batch_faults="lots")
-
-    def test_flow_config_validates(self):
-        from repro.fault import AtpgFlowConfig
-
-        with pytest.raises(ValueError, match="batch_faults"):
-            AtpgFlowConfig(batch_faults=-2)
 
 
 class TestFaultSimulatorFallback:

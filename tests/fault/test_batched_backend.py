@@ -4,17 +4,17 @@
 plan walk; nothing about the batch size -- 1, a divisor of the fault
 count, an odd remainder, or more batches than faults -- may show in
 the detection masks.  The catalog-wide numpy-vs-int pins in
-``test_numpy_backend.py`` already run the default (``auto``-batched)
-configuration; this file pins the batching axis itself: explicit batch
-sizes against the per-fault path and the integer kernels, the
+``test_numpy_backend.py`` already run the default batch size; this
+file pins the batching axis itself: forced batch sizes (empty and
+single-fault lists included) against the integer kernels, the
 overlapping-cone case where one fault's site sits inside another
 batch-mate's cone, reconvergent paths of different lengths, the sparse
 fault state's memory bound, the sharded pool in transition drop mode
-(empty shards included), and the end-to-end ATPG/experiment artifacts
-across backends.
+(empty shards included), the end-to-end ATPG/experiment artifacts
+across backends, and the ``repro fsim`` command line.
 
 Skipped entirely when numpy is not importable (``test_backends.py``
-covers knob validation without numpy).
+covers batch sizing without numpy).
 """
 
 import random
@@ -55,6 +55,12 @@ def _sampled(faults):
     return faults[::stride]
 
 
+def _force_batch(monkeypatch, batch):
+    """Run every numpy-backend wide call ``batch`` faults per plan walk."""
+    monkeypatch.setattr(FaultSimulator, "_batch_for",
+                        lambda self, n_patterns: batch)
+
+
 def _pairs(netlist, n, seed):
     rng = random.Random(seed)
     nets = list(netlist.inputs) + list(netlist.state_inputs)
@@ -69,63 +75,60 @@ def _pairs(netlist, n, seed):
 
 @pytest.mark.parametrize("batch", [1, 2, 3, 8, 64, 10_000])
 @pytest.mark.parametrize("drop", [False, True])
-def test_stuck_identical_at_every_batch_size(s298_netlist, batch, drop):
-    """Odd sizes, non-divisors, and oversized batches are all invisible."""
-    faults = _sampled(all_stuck_faults(s298_netlist))
+def test_stuck_identical_at_every_batch_size(s298_netlist, monkeypatch,
+                                            batch, drop):
+    """Odd sizes, non-divisors, and oversized batches are all invisible,
+    on a fault sample, an empty fault list and a single detected fault."""
     words = random_pattern_words(s298_netlist, N_PATTERNS, seed=3)
-    want = FaultSimulator(s298_netlist, backend="int").simulate_stuck_packed(
-        faults, words, N_PATTERNS, drop_detected=drop
-    )
-    got = FaultSimulator(
-        s298_netlist, backend="numpy", batch_faults=batch
-    ).simulate_stuck_packed(faults, words, N_PATTERNS, drop_detected=drop)
-    assert got.detected == want.detected
-    assert list(got.detected) == list(want.detected)
-    assert got.coverage == want.coverage
+    int_sim = FaultSimulator(s298_netlist, backend="int")
+    _force_batch(monkeypatch, batch)
+    numpy_sim = FaultSimulator(s298_netlist, backend="numpy")
+
+    def check(faults):
+        want = int_sim.simulate_stuck_packed(faults, words, N_PATTERNS,
+                                             drop_detected=drop)
+        got = numpy_sim.simulate_stuck_packed(faults, words, N_PATTERNS,
+                                              drop_detected=drop)
+        assert got.detected == want.detected
+        assert list(got.detected) == list(want.detected)
+        assert got.coverage == want.coverage
+        return want
+
+    detected = check(_sampled(all_stuck_faults(s298_netlist))).detected_faults
+    assert detected
+    check([])
+    check(detected[-1:])
 
 
 @pytest.mark.parametrize("drop", [False, True])
-def test_transition_identical_at_odd_batch_size(s344_netlist, drop):
+def test_transition_identical_at_odd_batch_size(s344_netlist, monkeypatch,
+                                                drop):
     faults = _sampled(all_transition_faults(s344_netlist))
     pairs = _pairs(s344_netlist, 70, seed=5)
     want = FaultSimulator(s344_netlist, backend="int").simulate_transition(
         faults, pairs, drop_detected=drop
     )
-    got = FaultSimulator(
-        s344_netlist, backend="numpy", batch_faults=7
-    ).simulate_transition(faults, pairs, drop_detected=drop)
+    _force_batch(monkeypatch, 7)
+    got = FaultSimulator(s344_netlist, backend="numpy").simulate_transition(
+        faults, pairs, drop_detected=drop)
     assert got.detected == want.detected
     assert list(got.detected) == list(want.detected)
 
 
-def test_batched_matches_per_fault_numpy(s298_netlist):
-    """batch_faults=1 is exactly the per-fault wide path; any other
-    batch size must agree with it bit for bit."""
-    faults = all_stuck_faults(s298_netlist)
-    words = random_pattern_words(s298_netlist, N_PATTERNS, seed=11)
-    per_fault = FaultSimulator(
-        s298_netlist, backend="numpy", batch_faults=1
-    ).simulate_stuck_packed(faults, words, N_PATTERNS, drop_detected=True)
-    batched = FaultSimulator(
-        s298_netlist, backend="numpy", batch_faults="auto"
-    ).simulate_stuck_packed(faults, words, N_PATTERNS, drop_detected=True)
-    assert batched.detected == per_fault.detected
-
-
-def test_whole_fault_list_in_one_batch(s27_netlist):
+def test_whole_fault_list_in_one_batch(s27_netlist, monkeypatch):
     """Every fault of s27 in a single batch, exhaustive inputs."""
     faults = all_stuck_faults(s27_netlist)
     words = random_pattern_words(s27_netlist, 128, seed=1)
     want = FaultSimulator(s27_netlist, backend="int").simulate_stuck_packed(
         faults, words, 128
     )
-    got = FaultSimulator(
-        s27_netlist, backend="numpy", batch_faults=len(faults)
-    ).simulate_stuck_packed(faults, words, 128)
+    _force_batch(monkeypatch, len(faults))
+    got = FaultSimulator(s27_netlist, backend="numpy").simulate_stuck_packed(
+        faults, words, 128)
     assert got.detected == want.detected
 
 
-def test_overlapping_cones_share_a_batch():
+def test_overlapping_cones_share_a_batch(monkeypatch):
     """A fault whose site lies inside a batch-mate's cone must keep its
     forced value: the chain a -> b -> c puts b (fault site) squarely in
     a's fanout cone, and both faults ride one batch."""
@@ -141,17 +144,17 @@ def test_overlapping_cones_share_a_batch():
         StuckFault("c", 0), StuckFault("c", 1),
     ]
     words = random_pattern_words(netlist, 96, seed=9)
+    _force_batch(monkeypatch, len(faults))
     for drop in (False, True):
         want = FaultSimulator(netlist, backend="int").simulate_stuck_packed(
             faults, words, 96, drop_detected=drop
         )
-        got = FaultSimulator(
-            netlist, backend="numpy", batch_faults=len(faults)
-        ).simulate_stuck_packed(faults, words, 96, drop_detected=drop)
+        got = FaultSimulator(netlist, backend="numpy").simulate_stuck_packed(
+            faults, words, 96, drop_detected=drop)
         assert got.detected == want.detected
 
 
-def test_reconvergent_paths_share_a_batch():
+def test_reconvergent_paths_share_a_batch(monkeypatch):
     """Paths of different lengths from one site reconverge on a gate,
     and a gate reads one net on two pins: each gate must be evaluated
     once per fault column, after all of its fanins."""
@@ -169,14 +172,13 @@ def test_reconvergent_paths_share_a_batch():
     validate(netlist)
     faults = all_stuck_faults(netlist)
     words = random_pattern_words(netlist, N_PATTERNS, seed=12)
+    _force_batch(monkeypatch, len(faults))
     for drop in (False, True):
         want = FaultSimulator(netlist, backend="int").simulate_stuck_packed(
             faults, words, N_PATTERNS, drop_detected=drop
         )
-        got = FaultSimulator(
-            netlist, backend="numpy", batch_faults=len(faults)
-        ).simulate_stuck_packed(faults, words, N_PATTERNS,
-                                drop_detected=drop)
+        got = FaultSimulator(netlist, backend="numpy").simulate_stuck_packed(
+            faults, words, N_PATTERNS, drop_detected=drop)
         assert got.detected == want.detected
 
 
@@ -191,7 +193,7 @@ def test_batched_fault_state_is_sparse():
     words = random_pattern_words(netlist, 1024, seed=4)
     sim.simulate_stuck_packed(faults, words, 1024)  # plan, lazy imports
     n_slots = len(sim.compiled.names)
-    b_cap = min(select_batch_faults("auto", 1024, n_slots), len(faults))
+    b_cap = min(select_batch_faults(1024, n_slots), len(faults))
     dense = n_slots * b_cap * words_per_batch(1024) * 8
     tracemalloc.start()
     try:
@@ -212,9 +214,10 @@ def test_property_batched_matches_int(netlist, n_patterns, batch, drop,
     faults = all_stuck_faults(netlist)
     words = random_pattern_words(netlist, n_patterns,
                                  seed=rng.getrandbits(16))
-    got = FaultSimulator(
-        netlist, backend="numpy", batch_faults=batch
-    ).simulate_stuck_packed(faults, words, n_patterns, drop_detected=drop)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _force_batch(monkeypatch, batch)
+        got = FaultSimulator(netlist, backend="numpy").simulate_stuck_packed(
+            faults, words, n_patterns, drop_detected=drop)
     want = FaultSimulator(netlist, backend="int").simulate_stuck_packed(
         faults, words, n_patterns, drop_detected=drop
     )
@@ -248,8 +251,7 @@ class TestSharded:
         ).simulate_stuck_packed(faults, words, N_PATTERNS,
                                 drop_detected=True)
         with ShardedFaultSimulator(s298_netlist, processes=2,
-                                   backend="numpy",
-                                   batch_faults=8) as pool:
+                                   backend="numpy") as pool:
             got = pool.simulate_stuck_packed(faults, words, N_PATTERNS,
                                              drop_detected=True)
         assert got.detected == want.detected
@@ -282,8 +284,7 @@ class TestSharded:
             s27_netlist, backend="int"
         ).simulate_transition(faults, pairs, drop_detected=True)
         with ShardedFaultSimulator(s27_netlist, processes=4,
-                                   backend="numpy",
-                                   batch_faults=4) as pool:
+                                   backend="numpy") as pool:
             got = pool.simulate_transition(faults, pairs,
                                            drop_detected=True)
         assert got.detected == want.detected
@@ -357,36 +358,41 @@ def test_simulators_share_one_plan(s344_netlist):
 def test_atpg_flow_identical_across_backends(s298_netlist):
     """The two-phase flow's artifacts are backend- and batch-blind."""
     results = {}
-    for backend, batch in (("int", 1), ("numpy", 4), ("numpy", "auto")):
-        flow = AtpgFlow(s298_netlist, AtpgFlowConfig(
-            seed=7, backend=backend, batch_faults=batch,
-        )).run()
+    for backend, batch in (("int", None), ("numpy", 1), ("numpy", 4),
+                           ("numpy", None)):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            if batch is not None:
+                _force_batch(monkeypatch, batch)
+            flow = AtpgFlow(s298_netlist, AtpgFlowConfig(
+                seed=7, backend=backend,
+            )).run()
         results[(backend, batch)] = (
             flow.coverage, flow.summary(),
             [sorted(t.items()) for t in flow.tests],
         )
-    want = results[("int", 1)]
+    want = results[("int", None)]
     for key, got in results.items():
         assert got == want, f"backend/batch {key} diverged"
 
 
-def test_coverage_study_render_identical_across_backends(s298_netlist):
+def test_coverage_study_render_identical_across_backends(s298_netlist,
+                                                        monkeypatch):
     """Table-driver artifact: the rendered Section IV study is
     byte-identical across int and batched-numpy backends."""
     from repro.experiments import coverage_study
 
     small = dict(n_random_pairs=16, n_check_tests=4, n_shift_patterns=2)
     want = coverage_study.run("s298", backend="int", **small).render()
-    got = coverage_study.run("s298", backend="numpy", batch_faults=8,
-                             **small).render()
+    _force_batch(monkeypatch, 8)
+    got = coverage_study.run("s298", backend="numpy", **small).render()
     assert got == want
 
 
-def test_fsim_cli_batch_faults_check_serial(capsys):
+def test_fsim_cli_numpy_check_serial(capsys):
     from repro.fault.sharded import fsim_main
 
     status = fsim_main(["s27", "--backend", "numpy", "--patterns", "70",
-                        "--batch-faults", "4", "--check-serial"])
+                        "--check-serial"])
     out = capsys.readouterr().out
     assert status == 0
     assert "masks identical to serial" in out
@@ -401,3 +407,19 @@ def test_fsim_cli_stress_name_and_max_faults(capsys):
     assert status == 0
     assert "stress1x" in out
     assert "32 faults" in out
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--patterns", "-5"),
+    ("--max-faults", "-3"),
+    ("--processes", "0"),
+])
+def test_fsim_cli_rejects_bad_numbers(capsys, flag, value):
+    """Out-of-range numbers are usage errors (exit 2), not tracebacks or
+    a silently shortened fault list."""
+    from repro.fault.sharded import fsim_main
+
+    with pytest.raises(SystemExit) as exc:
+        fsim_main(["s27", flag, value])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
