@@ -75,7 +75,6 @@ from ..netlist import Netlist
 from ..obs import get_recorder
 from .backends import podem_portfolio
 from .collapse import collapse_stuck, dominance_collapse_stuck
-from .fsim import FaultSimulator
 from .models import StuckFault, all_stuck_faults
 from .podem import DEFAULT_SEARCH_SLICE, AtpgResult, Podem
 from .sharded import ShardedFaultSimulator
@@ -121,6 +120,11 @@ class AtpgFlowConfig:
                                              # never changes results)
 
     def __post_init__(self) -> None:
+        # Either would silently skip phase 1.
+        if self.n_random_patterns < 0:
+            raise ValueError("n_random_patterns must be >= 0")
+        if self.max_idle_batches < 1:
+            raise ValueError("max_idle_batches must be >= 1")
         if self.batch_size <= 0:
             raise ValueError("batch_size must be positive")
         if self.processes < 1:
@@ -214,7 +218,6 @@ class AtpgFlow:
                  config: Optional[AtpgFlowConfig] = None):
         self.netlist = netlist
         self.config = config or AtpgFlowConfig()
-        self.sim = FaultSimulator(netlist, backend=self.config.backend)
         self._static_untestable: Dict[StuckFault, str] = {}
         guidance = None
         if self.config.use_analysis:

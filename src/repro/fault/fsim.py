@@ -1,15 +1,18 @@
 """Bit-parallel fault simulation.
 
 Patterns are packed one-per-bit-lane into Python integers (arbitrary
-width, so a whole test set can run in one pass).  For each fault the
-good machine is simulated once and only the fault's fanout cone is
-re-evaluated with the site forced to the stuck value -- the standard
-single-fault propagation scheme.
+width, so a whole test set can run in one pass).  The good machine is
+simulated once; each fault then forces its site to the stuck value and
+follows only the nets whose words change
+(:meth:`~repro.netlist.CompiledNetlist.detect_sites`): a gate is
+re-evaluated only when one of its fanins differs from the good machine
+and kept only where its own word differs, so a fault effect that dies
+after one gate costs one gate, not the fault's fanout cone.
 
 The inner loops run on the :class:`~repro.netlist.CompiledNetlist`
-flat arrays: integer opcodes, integer fanin indices, and per-site cone
-position lists cached on the compiled netlist (shared, via the content
-hash cache, with every other simulator over the same circuit).
+flat arrays (integer opcodes, integer fanin indices, the fanout table),
+shared via the content-hash cache with every other simulator over the
+same circuit.
 Under the numpy backend (:mod:`repro.fault.backends`) the bulk entry
 points hand the whole fault list to the one wide kernel,
 :meth:`~repro.netlist.wide.WideEngine.detect_batched`, which walks the
@@ -30,9 +33,10 @@ the caller intended).
 **Fault dropping**: ``simulate_stuck`` / ``simulate_transition`` accept
 ``drop_detected=True``, the mode the two-phase ATPG pipeline
 (:mod:`repro.fault.atpg_flow`) runs in.  A dropped fault's mask is
-*early-exit*: computation stops at the first observation point showing
-a difference, so the mask is guaranteed non-zero exactly when the fault
-is detected but need not enumerate every detecting pattern.
+*early-exit*: it is the difference at the first observation point (in
+``core_outputs`` order) showing one, so the mask is guaranteed non-zero
+exactly when the fault is detected but need not enumerate every
+detecting pattern.
 """
 
 from __future__ import annotations
@@ -96,10 +100,10 @@ class FaultSimulator:
     :mod:`repro.netlist.wide`, and ``"auto"`` (the default) picks
     numpy for multi-word batches on large circuits when it is
     importable (see :mod:`repro.fault.backends`).  Both backends are
-    bit-identical; the low-level per-fault methods
-    (:meth:`detect_stuck_arr`, :meth:`detect_stuck_many`) always run
-    the integer kernels.  The wide engine walks the fault list in
-    batches sized by :func:`~repro.fault.backends.select_batch_faults`.
+    bit-identical; the low-level methods (:meth:`detect_stuck_arr`,
+    :meth:`detect_stuck_many`) always run the integer kernel.  The wide
+    engine walks the fault list in batches sized by
+    :func:`~repro.fault.backends.select_batch_faults`.
     """
 
     def __init__(self, netlist: Netlist, backend: str = BACKEND_AUTO):
@@ -224,34 +228,26 @@ class FaultSimulator:
         return arr, mask
 
     # ------------------------------------------------------------------
+    def _stuck_site(self, fault: StuckFault, mask: int,
+                    ) -> Tuple[int, int, None]:
+        """``(slot, site_value, limit)`` of a stuck-at fault for
+        :meth:`~repro.netlist.CompiledNetlist.detect_sites`."""
+        slot = self.compiled.index.get(fault.net)
+        if slot is None:
+            raise SimulationError(f"fault site {fault.net!r} not in netlist")
+        return slot, mask if fault.value else 0, None
+
     def detect_stuck_arr(self, fault: StuckFault, good: Sequence[int],
                          mask: int, early_exit: bool = False) -> int:
         """Detection bitmask of ``fault`` over a flat good-value array.
 
-        With ``early_exit`` the scan over observation points stops at
-        the first difference: the result is non-zero iff the fault is
-        detected, but is not necessarily the full per-pattern mask --
-        the contract of fault-dropping callers.
+        With ``early_exit`` the result is the difference at the first
+        observation point showing one: non-zero iff the fault is
+        detected, but not necessarily the full per-pattern mask -- the
+        contract of fault-dropping callers.
         """
-        compiled = self.compiled
-        slot = compiled.index.get(fault.net)
-        if slot is None:
-            raise SimulationError(f"fault site {fault.net!r} not in netlist")
-        site_value = mask if fault.value else 0
-        # Fault not excited where the good value equals the stuck value.
-        if not ((good[slot] ^ site_value) & mask):
-            return 0
-        faulty = list(good)
-        faulty[slot] = site_value
-        compiled.eval_into(faulty, mask, compiled.cone_positions(slot))
-        detected = 0
-        for out in compiled.observe_idx:
-            diff = (good[out] ^ faulty[out]) & mask
-            if diff:
-                detected |= diff
-                if early_exit:
-                    break
-        return detected
+        return self.compiled.detect_sites(
+            [self._stuck_site(fault, mask)], good, mask, early_exit)[0]
 
     def detect_stuck_many(self, faults: Sequence[StuckFault],
                           good: Sequence[int], mask: int,
@@ -259,45 +255,14 @@ class FaultSimulator:
                           ) -> Dict[object, int]:
         """Detection masks for a whole fault list over one good array.
 
-        One scratch copy of the good array is shared by every fault:
-        after each fault's cone re-evaluation only the cone slots are
-        restored, so the per-fault cost is O(cone), not O(nets).  Same
-        ``early_exit`` contract as :meth:`detect_stuck_arr`.
+        One event-driven kernel call: every fault shares one scratch
+        copy of the good array and restores only the slots its effect
+        changed.  Same ``early_exit`` contract as
+        :meth:`detect_stuck_arr`.
         """
-        compiled = self.compiled
-        index = compiled.index
-        observe = compiled.observe_idx
-        cone_positions = compiled.cone_positions
-        eval_into = compiled.eval_into
-        base = compiled.n_prefix
-        faulty = list(good)
-        detected: Dict[object, int] = {}
-        for fault in faults:
-            slot = index.get(fault.net)
-            if slot is None:
-                raise SimulationError(
-                    f"fault site {fault.net!r} not in netlist"
-                )
-            site_value = mask if fault.value else 0
-            if not ((good[slot] ^ site_value) & mask):
-                detected[fault] = 0
-                continue
-            cone = cone_positions(slot)
-            faulty[slot] = site_value
-            eval_into(faulty, mask, cone)
-            det = 0
-            for out in observe:
-                diff = (good[out] ^ faulty[out]) & mask
-                if diff:
-                    det |= diff
-                    if early_exit:
-                        break
-            detected[fault] = det
-            faulty[slot] = good[slot]
-            for p in cone:
-                s = base + p
-                faulty[s] = good[s]
-        return detected
+        sites = [self._stuck_site(fault, mask) for fault in faults]
+        return dict(zip(faults, self.compiled.detect_sites(
+            sites, good, mask, early_exit)))
 
     def detect_stuck(self, fault: StuckFault,
                      good: GoodValues, mask: int) -> int:
@@ -467,10 +432,12 @@ class FaultSimulator:
 
     def _transition_masks(self, faults, good1, good2, mask, n_pairs,
                           drop_detected) -> FaultSimResult:
-        compiled = self.compiled
+        index = self.compiled.index
         detected: Dict[object, int] = {}
+        pending = []   # faults with a launch, in order
+        sites = []
         for fault in faults:
-            slot = compiled.index.get(fault.net)
+            slot = index.get(fault.net)
             if slot is None:
                 raise SimulationError(
                     f"fault site {fault.net!r} not in netlist"
@@ -481,15 +448,16 @@ class FaultSimulator:
                 launch = site1 & mask
             else:
                 launch = ~site1 & mask
-            if not launch:
-                detected[fault] = 0
-                continue
-            stuck_mask = self.detect_stuck_arr(
-                fault.equivalent_stuck, good2,
-                launch if drop_detected else mask,
-                early_exit=drop_detected,
-            )
-            detected[fault] = launch & stuck_mask
+            detected[fault] = 0
+            if launch:
+                pending.append(fault)
+                # Forced only in the launch lanes, so the V2 stuck-at
+                # difference is already confined to them.
+                sites.append((slot, mask if fault.equivalent_stuck.value
+                              else 0, launch))
+        masks = self.compiled.detect_sites(sites, good2, mask,
+                                           early_exit=drop_detected)
+        detected.update(zip(pending, masks))
         return FaultSimResult(detected=detected, n_patterns=n_pairs)
 
 

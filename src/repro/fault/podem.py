@@ -19,11 +19,19 @@ changes in either machine, and writes one undo trail; a backtrack
 replays that trail.  The queries read bits: the good value is X when
 ``(v0 | v1) & 1 == 0``, a net's composite value is settled when
 ``(v0 | v1) == 3``, and it carries a fault effect when
-``((v1 & (v0 >> 1)) | (v0 & (v1 >> 1))) & 1``.  The D-frontier and
-X-path scans are restricted to the fault site's cone.  The retained
-dict-based reference (``repro.perf.reference.ReferenceThreeValuedSimulator``,
-built on :func:`eval3` below) pins bit-identical three-valued results
-on every catalog circuit, for the faulty machine too.
+``((v1 & (v0 >> 1)) | (v0 & (v1 >> 1))) & 1``.
+
+The fault-effect slots are kept incrementally from the same trails.
+Implication only refines X to a known value, so once both machines are
+known at a net they stay known until a backtrack: an assignment can
+only add effects, all of them among the slots its trail wrote, and
+undoing it removes exactly those.  So "is an effect at an observation
+point" is a counter, and the D-frontier is the sorted unsettled readers
+of the effect slots -- no decision rescans the site's cone or every
+observation point.  The retained dict-based reference
+(``repro.perf.reference.ReferenceThreeValuedSimulator``, built on
+:func:`eval3` below) pins bit-identical three-valued results on every
+catalog circuit, for the faulty machine too.
 """
 
 from __future__ import annotations
@@ -367,7 +375,7 @@ class Podem:
         self.observe: Tuple[str, ...] = tuple(netlist.core_outputs)
         self._n_prefix = compiled.n_prefix
         self._n_slots = len(compiled.names)
-        self._observe_idx = compiled.observe_idx
+        self._observed = frozenset(compiled.observe_idx)
 
         # Per-eval-position controlling value / inversion, from opcodes.
         ctrl: List[Optional[int]] = []
@@ -393,7 +401,10 @@ class Podem:
         self._v1: List[int] = []
         self._site: Optional[int] = None
         self._site_pos: int = -1
-        self._site_cone: Tuple[int, ...] = ()
+        #: Slots carrying a fault effect (both machines known and
+        #: different), and how many of them are observation points.
+        self._effects: Set[int] = set()
+        self._observed_effects = 0
         #: The live search owning the incremental state (staleness guard
         #: for paused :class:`PodemSearch` instances).
         self._active_search: Optional["PodemSearch"] = None
@@ -415,20 +426,20 @@ class Podem:
         self._v0 = v0 = [0] * n
         self._v1 = v1 = [0] * n
         self._site = site
+        self._effects = set()
+        self._observed_effects = 0
         if site is None:
             self._site_pos = -1
-            self._site_cone = ()
             return
-        compiled = self.compiled
         self._site_pos = (site - self._n_prefix
                           if site >= self._n_prefix else -1)
-        self._site_cone = compiled.cone_positions(site)
         if fault_value:
             v1[site] = 2
         else:
             v0[site] = 2
         # The site's cone never contains the site: nothing to hold yet.
-        compiled.propagate3(v0, v1, 3, (site,))
+        # The good machine is X everywhere, so no slot carries an effect.
+        self.compiled.propagate3(v0, v1, 3, (site,))
 
     def _assign_pi(self, slot: int, value: int) -> List[Tuple[int, int, int]]:
         """Assign one core input slot in both machines; returns the
@@ -444,12 +455,41 @@ class Podem:
         v1[slot] = (v1[slot] & ~bits) | (bits if value else 0)
         self.compiled.propagate3(v0, v1, 3, (slot,), hold=self._site_pos,
                                  held=2, trail=trail)
+        self._add_effects(trail)
         return trail
 
-    def _undo(self, trail: List[Tuple[int, int, int]]) -> None:
-        """Restore both machines from an assignment's undo trail."""
+    def _add_effects(self, trail: List[Tuple[int, int, int]]) -> None:
+        """Record the fault effects among the slots a trail wrote.
+
+        Implication only refines X, so a slot that already carried an
+        effect is known in both machines and is never rewritten: every
+        new effect is a trail slot, and none was an effect before.  As
+        ``v0 & v1 == 0``, an effect is exactly ``(v0, v1)`` equal to
+        ``(1, 2)`` (good 0, faulty 1) or ``(2, 1)``.
+        """
         v0, v1 = self._v0, self._v1
+        effects = self._effects
+        observed = self._observed
+        for slot, _, _ in trail:
+            a0 = v0[slot]
+            if (a0 == 1 or a0 == 2) and v1[slot] == 3 - a0:
+                effects.add(slot)
+                if slot in observed:
+                    self._observed_effects += 1
+
+    def _undo(self, trail: List[Tuple[int, int, int]]) -> None:
+        """Restore both machines from an assignment's undo trail.
+
+        The effects the assignment added are exactly its trail slots
+        that carry one now; they go with it.
+        """
+        v0, v1 = self._v0, self._v1
+        effects = self._effects
         for slot, old0, old1 in reversed(trail):
+            if slot in effects:
+                effects.remove(slot)
+                if slot in self._observed:
+                    self._observed_effects -= 1
             v0[slot] = old0
             v1[slot] = old1
 
@@ -457,33 +497,22 @@ class Podem:
     # composite-value queries
     # ------------------------------------------------------------------
     def _fault_at_output(self) -> bool:
-        v0, v1 = self._v0, self._v1
-        for out in self._observe_idx:
-            a0 = v0[out]
-            a1 = v1[out]
-            if ((a1 & (a0 >> 1)) | (a0 & (a1 >> 1))) & 1:
-                return True
-        return False
+        """Does a fault effect sit on an observation point?"""
+        return self._observed_effects > 0
 
     def _d_frontier(self) -> List[int]:
         """Eval positions whose composite output is still unknown but
         with a definite fault effect (good != faulty, both known) on an
-        input.  Only the fault site's cone can qualify."""
+        input: the unsettled readers of the effect slots, ascending."""
         v0, v1 = self._v0, self._v1
-        fanins = self.compiled.fanins
+        fanout_pos = self.compiled._fanout_pos
         base = self._n_prefix
-        frontier: List[int] = []
-        for p in self._site_cone:
-            slot = base + p
-            if (v0[slot] | v1[slot]) == 3:
-                continue  # composite value settled (propagated or blocked)
-            for f in fanins[p]:
-                a0 = v0[f]
-                a1 = v1[f]
-                if ((a1 & (a0 >> 1)) | (a0 & (a1 >> 1))) & 1:
-                    frontier.append(p)
-                    break
-        return frontier
+        readers: Set[int] = set()
+        for slot in self._effects:
+            readers.update(fanout_pos[slot])
+        # A settled reader has its composite value (propagated or blocked).
+        return sorted(p for p in readers
+                      if (v0[base + p] | v1[base + p]) != 3)
 
     def _x_path_exists(self, frontier: List[int]) -> bool:
         """Can a fault effect still reach an observation point?"""
@@ -492,7 +521,7 @@ class Podem:
         v0, v1 = self._v0, self._v1
         fanout_pos = self.compiled._fanout_pos
         base = self._n_prefix
-        observed = set(self._observe_idx)
+        observed = self._observed
         reachable: Set[int] = {base + p for p in frontier}
         stack = list(reachable)
         while stack:

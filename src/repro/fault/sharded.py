@@ -1123,9 +1123,8 @@ def fsim_main(argv: Optional[List[str]] = None) -> int:
                 "seconds": seconds,
             }
             if args.check_serial:
-                # Pinned to the per-fault integer kernels so the check
-                # stays a genuine cross-backend comparison whatever the
-                # pool ran.
+                # Pinned to the integer kernel so the check stays a
+                # genuine cross-backend comparison whatever the pool ran.
                 serial = FaultSimulator(
                     netlist, backend=BACKEND_INT,
                 ).simulate_stuck_packed(

@@ -4,16 +4,23 @@ Every simulator in the repository used to walk gates through per-net
 string-keyed dict lookups (``netlist.gate(name)`` + ``values[fanin]``
 per pin).  This module lowers a :class:`~repro.netlist.Netlist` once
 into flat parallel arrays -- integer opcodes and integer fanin indices
--- that the logic simulator, the fault simulator's cone re-evaluation
-and STA arrival propagation all share:
+-- that the logic simulator, the fault simulator's event-driven fault
+propagation and STA arrival propagation all share:
 
 * value slot ``i`` holds the word for net ``names[i]``; primary inputs
   come first, then state inputs (DFF outputs), then every combinational
   gate in topological order;
 * eval node ``p`` computes slot ``n_prefix + p`` from ``ops[p]`` and
   ``fanins[p]`` (indices into the value array);
-* fanout cones are cached per fault site as tuples of eval positions,
-  already topologically sorted (position order *is* topological order).
+* ``_fanout_pos[slot]`` lists the eval positions reading a slot, in
+  ascending order (position order *is* topological order), so the
+  event-driven kernels (:meth:`CompiledNetlist.propagate3`,
+  :meth:`CompiledNetlist.detect_sites`) wake only the readers of nets
+  that changed;
+* ``observe_rank[slot]`` is the slot's first index in ``observe_idx``
+  (``len(observe_idx)`` when unobserved), which orders fault effects
+  for the early-exit detection contract; ``_reach_rank[p]`` is the best
+  such rank at or downstream of eval position ``p``.
 
 Compiled forms are cached process-wide, keyed on a **content hash** of
 the netlist (name, port order, and every gate record), so repeated
@@ -161,6 +168,12 @@ class CompiledNetlist:
         self.dff_data_idx: Tuple[int, ...] = tuple(
             self.index[net] for net in self.dff_data
         )
+        # A net that is both a primary output and a flip-flop data input
+        # appears twice in observe_idx; its rank is the first occurrence.
+        rank = [len(self.observe_idx)] * len(self.names)
+        for r in range(len(self.observe_idx) - 1, -1, -1):
+            rank[self.observe_idx[r]] = r
+        self.observe_rank: Tuple[int, ...] = tuple(rank)
 
         # Fanout adjacency: value slot -> eval positions reading it.
         fanout_pos: List[List[int]] = [[] for _ in range(len(self.names))]
@@ -170,7 +183,19 @@ class CompiledNetlist:
         self._fanout_pos: Tuple[Tuple[int, ...], ...] = tuple(
             tuple(p) for p in fanout_pos
         )
-        self._cone_cache: Dict[int, Tuple[int, ...]] = {}
+        # Per eval position, the best (lowest) observation rank its
+        # output or anything downstream of it has: an early-exit fault
+        # walk skips a gate that cannot reach an observation point it
+        # still needs.
+        base = self.n_prefix
+        reach = [0] * len(self.ops)
+        for p in range(len(self.ops) - 1, -1, -1):
+            best = rank[base + p]
+            for q in fanout_pos[base + p]:
+                if reach[q] < best:
+                    best = reach[q]
+            reach[p] = best
+        self._reach_rank: Tuple[int, ...] = tuple(reach)
 
     # ------------------------------------------------------------------
     def new_values(self, fill: int = 0) -> List[int]:
@@ -191,52 +216,17 @@ class CompiledNetlist:
         return dict(zip(self.names, values))
 
     # ------------------------------------------------------------------
-    def cone_positions(self, slot: int) -> Tuple[int, ...]:
-        """Eval positions in the combinational fanout cone of ``slot``.
-
-        Sorted ascending, which *is* topological order; cached per site
-        for the lifetime of the compiled netlist.
-        """
-        cached = self._cone_cache.get(slot)
-        if cached is not None:
-            return cached
-        fanout_pos = self._fanout_pos
-        base = self.n_prefix
-        seen = set()
-        stack = [slot]
-        while stack:
-            s = stack.pop()
-            for pos in fanout_pos[s]:
-                if pos not in seen:
-                    seen.add(pos)
-                    stack.append(base + pos)
-        cone = tuple(sorted(seen))
-        self._cone_cache[slot] = cone
-        return cone
-
-    def cone_names(self, net: str) -> Tuple[str, ...]:
-        """Topologically sorted gate names downstream of ``net``."""
-        order = self.order
-        return tuple(order[pos] for pos in self.cone_positions(self.index[net]))
-
-    # ------------------------------------------------------------------
-    def eval_into(self, values: List[int], mask: int,
-                  positions: Optional[Iterable[int]] = None) -> List[int]:
-        """Evaluate eval nodes in place over packed bit-parallel words.
+    def eval_into(self, values: List[int], mask: int) -> List[int]:
+        """Evaluate every eval node in place over packed bit-parallel words.
 
         ``values`` is a full value array whose prefix slots (primary and
-        state inputs) are already filled.  With ``positions`` (a sorted
-        iterable of eval positions) only that subset is re-evaluated --
-        the fault simulator's cone propagation; the default evaluates
-        the entire combinational core.  Results are bit-identical to
+        state inputs) are already filled.  Results are bit-identical to
         :func:`repro.netlist.evaluate_gate` over the same gates.
         """
         ops = self.ops
         fanins = self.fanins
         base = self.n_prefix
-        if positions is None:
-            positions = range(len(ops))
-        for p in positions:
+        for p in range(len(ops)):
             fanin = fanins[p]
             op = ops[p]
             if op == OP_NAND2:
@@ -300,6 +290,164 @@ class CompiledNetlist:
                 v = mask & ~v
             values[base + p] = v
         return values
+
+    # ------------------------------------------------------------------
+    def detect_sites(self, sites: Iterable[Tuple[int, int, Optional[int]]],
+                     good: Sequence[int], mask: int,
+                     early_exit: bool = False) -> List[int]:
+        """Detection words of forced-site faults, event-driven.
+
+        ``sites`` holds ``(slot, site_value, limit)`` per fault, as
+        :meth:`repro.netlist.wide.WideEngine.detect_batched` takes them:
+        the faulty machine forces ``slot`` to ``site_value`` in the lanes
+        of ``limit`` (``None`` means every lane of ``mask``) and keeps
+        the good machine everywhere else.  ``good`` is the fault-free
+        value array (:meth:`eval_into` over the same ``mask``).  Returns
+        one word per site, in order: the lanes in which some observation
+        point differs from the good machine.  A site whose good value
+        already equals ``site_value`` in every ``limit`` lane is not
+        excited and gets 0.
+
+        One scratch copy of ``good`` serves every fault.  A fault's
+        effect is carried through a min-heap of eval positions (position
+        order is topological order): only readers of a slot that differs
+        from the good machine are re-evaluated, a re-evaluated gate is
+        kept only where it differs, and after the fault exactly those
+        changed slots are restored.  A gate reached through two changed
+        fanins is pushed twice and evaluated once, after both.  So a
+        fault costs the gates its effect reaches, not its fanout cone.
+
+        With ``early_exit`` the word is the difference at the changed
+        slot that comes first in ``observe_idx`` order (via
+        :attr:`observe_rank`), exactly the first non-zero difference a
+        scan of ``observe_idx`` would find: non-zero iff the fault is
+        detected, not necessarily every detecting lane -- the contract
+        of fault-dropping callers.  Without it the word is the union
+        over every observation point.
+
+        In early-exit mode the walk also prunes.  Each gate knows the
+        best observation rank at or below it (``_reach_rank``), so the
+        walk skips every gate that cannot reach an observation point
+        ranked before the best difference found so far (at first, any
+        observation point).  Everything a skipped gate feeds is skipped
+        too (its rank bound is no better), so no evaluated gate reads a
+        stale fanin.  A full-mask walk needs every observation point, so
+        there the check would only skip the rare dead-end gate, and it
+        is not made.
+        """
+        ops = self.ops
+        fanins = self.fanins
+        fanout_pos = self._fanout_pos
+        rank = self.observe_rank
+        reach = self._reach_rank
+        n_observe = len(self.observe_idx)
+        base = self.n_prefix
+        faulty = list(good)
+        results: List[int] = []
+        for slot, site_value, limit in sites:
+            g = good[slot]
+            flip = (g ^ site_value) & (mask if limit is None else limit)
+            if not flip:
+                results.append(0)
+                continue
+            faulty[slot] = g ^ flip
+            changed = [slot]
+            det = 0
+            # In early-exit mode a gate reaching no observation point
+            # ranked below ``bound`` cannot change the result, and
+            # ``bound`` drops to the rank of the first-ranked difference.
+            bound = n_observe
+            if early_exit and rank[slot] < bound:
+                bound = rank[slot]
+                det = flip
+            # Ascending, hence already a heap.
+            heap = list(fanout_pos[slot])
+            last = -1
+            while heap:
+                p = heappop(heap)
+                if p == last:
+                    continue  # a second changed fanin pushed it again
+                last = p
+                if early_exit and reach[p] >= bound:
+                    continue
+                fanin = fanins[p]
+                op = ops[p]
+                if op == OP_NAND2:
+                    v = mask & ~(faulty[fanin[0]] & faulty[fanin[1]])
+                elif op == OP_NOR2:
+                    v = mask & ~(faulty[fanin[0]] | faulty[fanin[1]])
+                elif op == OP_AND2:
+                    v = faulty[fanin[0]] & faulty[fanin[1]]
+                elif op == OP_OR2:
+                    v = faulty[fanin[0]] | faulty[fanin[1]]
+                elif op == OP_NOT:
+                    v = mask & ~faulty[fanin[0]]
+                elif op == OP_XOR2:
+                    v = faulty[fanin[0]] ^ faulty[fanin[1]]
+                elif op == OP_XNOR2:
+                    v = mask & ~(faulty[fanin[0]] ^ faulty[fanin[1]])
+                elif op == OP_BUF:
+                    v = faulty[fanin[0]]
+                elif op == OP_AOI21:
+                    v = mask & ~((faulty[fanin[0]] & faulty[fanin[1]])
+                                 | faulty[fanin[2]])
+                elif op == OP_AOI22:
+                    v = mask & ~((faulty[fanin[0]] & faulty[fanin[1]])
+                                 | (faulty[fanin[2]] & faulty[fanin[3]]))
+                elif op == OP_OAI21:
+                    v = mask & ~((faulty[fanin[0]] | faulty[fanin[1]])
+                                 & faulty[fanin[2]])
+                elif op == OP_OAI22:
+                    v = mask & ~((faulty[fanin[0]] | faulty[fanin[1]])
+                                 & (faulty[fanin[2]] | faulty[fanin[3]]))
+                elif op == OP_MUX2:
+                    sel = faulty[fanin[0]]
+                    v = ((faulty[fanin[1]] & ~sel)
+                         | (faulty[fanin[2]] & sel)) & mask
+                elif op == OP_AND:
+                    v = mask
+                    for f in fanin:
+                        v &= faulty[f]
+                elif op == OP_NAND:
+                    v = mask
+                    for f in fanin:
+                        v &= faulty[f]
+                    v = mask & ~v
+                elif op == OP_OR:
+                    v = 0
+                    for f in fanin:
+                        v |= faulty[f]
+                elif op == OP_NOR:
+                    v = 0
+                    for f in fanin:
+                        v |= faulty[f]
+                    v = mask & ~v
+                elif op == OP_XOR:
+                    v = 0
+                    for f in fanin:
+                        v ^= faulty[f]
+                else:  # OP_XNOR
+                    v = 0
+                    for f in fanin:
+                        v ^= faulty[f]
+                    v = mask & ~v
+                out = base + p
+                if v != good[out]:
+                    faulty[out] = v
+                    changed.append(out)
+                    if early_exit and rank[out] < bound:
+                        bound = rank[out]
+                        det = v ^ good[out]
+                    for q in fanout_pos[out]:
+                        heappush(heap, q)
+            if not early_exit:
+                for s in changed:
+                    if rank[s] < n_observe:
+                        det |= good[s] ^ faulty[s]
+            for s in changed:
+                faulty[s] = good[s]
+            results.append(det)
+        return results
 
     # ------------------------------------------------------------------
     def eval3_into(self, values0: List[int], values1: List[int],
@@ -609,8 +757,9 @@ _DISK_MISSES = 0
 
 #: Bump whenever :class:`CompiledNetlist`'s attribute layout changes:
 #: disk entries pickled under an older schema then read as misses
-#: instead of resurrecting a wrong-shaped object.
-COMPILED_CACHE_SCHEMA = 1
+#: instead of resurrecting a wrong-shaped object.  Schema 2 dropped the
+#: per-site cone cache and added ``observe_rank`` and ``_reach_rank``.
+COMPILED_CACHE_SCHEMA = 2
 
 _DISK_TIER = None  # lazily built; rebuilt if the cache root moves
 
@@ -681,7 +830,7 @@ def compile_netlist(netlist: Netlist, use_cache: bool = True) -> CompiledNetlist
 
 
 def clear_compile_cache(disk: bool = False) -> None:
-    """Drop every cached compiled netlist (frees cone caches too).
+    """Drop every cached compiled netlist.
 
     With ``disk=True`` the persistent tier is purged as well -- the
     honest cold-start configuration for benchmarks.

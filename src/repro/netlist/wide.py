@@ -24,10 +24,11 @@ Two structural ideas make the engine fast on large circuits:
   carries a batch of one or more faults through each plan walk: it
   stores only the (net, fault) pairs that differ and wakes gates
   through the fanout table, so it never touches a gate or a fault
-  column that nothing reached.  The
-  packed-int kernels always evaluate the full cone; on circuits 10-100x
-  beyond s38584 (where cones are huge and fault effects narrow) this is
-  where the wide backend pulls ahead.
+  column that nothing reached.  The packed-int kernel
+  (:meth:`~repro.netlist.compiled.CompiledNetlist.detect_sites`)
+  prunes the same way, one fault at a time; what the wide engine adds
+  is many faults and pattern words per numpy call, which is where it
+  can pull ahead on wide batches over large circuits.
 
 Results are **bit-identical** to the integer kernels: same excitation
 check, same observation-point order, same early-exit contract

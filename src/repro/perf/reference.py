@@ -63,15 +63,15 @@ class ReferenceFaultSimulator:
         self.netlist = netlist
         self.sim = ReferenceLogicSimulator(netlist)
         self.observe: Tuple[str, ...] = tuple(netlist.core_outputs)
-        self._cone_cache: Dict[str, Tuple[str, ...]] = {}
+        self._order_cache: Dict[str, Tuple[str, ...]] = {}
 
     def _cone_order(self, net: str) -> Tuple[str, ...]:
-        cached = self._cone_cache.get(net)
+        cached = self._order_cache.get(net)
         if cached is not None:
             return cached
         cone = fanout_cone(self.netlist, [net])
         order = tuple(name for name in self.sim.order if name in cone)
-        self._cone_cache[net] = order
+        self._order_cache[net] = order
         return order
 
     def good_values(self, patterns: Sequence[Mapping[str, int]],
@@ -83,14 +83,16 @@ class ReferenceFaultSimulator:
         self.sim.eval_combinational(values, mask)
         return values, mask
 
-    def detect_stuck(self, fault: StuckFault,
-                     good: Mapping[str, int], mask: int) -> int:
+    def output_diffs(self, fault: StuckFault,
+                     good: Mapping[str, int], mask: int) -> List[int]:
+        """Good/faulty difference per observation point, in ``observe``
+        (``core_outputs``) order; all zero for an unexcited fault."""
         if fault.net not in self.netlist:
             raise SimulationError(f"fault site {fault.net!r} not in netlist")
         site_value = mask if fault.value else 0
         excited = good[fault.net] ^ site_value
         if not (excited & mask):
-            return 0
+            return [0] * len(self.observe)
         faulty: Dict[str, int] = {fault.net: site_value}
         for name in self._cone_order(fault.net):
             gate = self.netlist.gate(name)
@@ -98,10 +100,15 @@ class ReferenceFaultSimulator:
                 faulty.get(f, good[f]) for f in gate.fanin
             )
             faulty[name] = evaluate_gate(gate.func, fanin_vals, mask)
+        return [(good[out] ^ faulty.get(out, good[out])) & mask
+                for out in self.observe]
+
+    def detect_stuck(self, fault: StuckFault,
+                     good: Mapping[str, int], mask: int) -> int:
         detected = 0
-        for out in self.observe:
-            detected |= good[out] ^ faulty.get(out, good[out])
-        return detected & mask
+        for diff in self.output_diffs(fault, good, mask):
+            detected |= diff
+        return detected
 
     def simulate_stuck(self, faults: Sequence[StuckFault],
                        patterns: Sequence[Mapping[str, int]],

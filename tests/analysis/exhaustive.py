@@ -30,14 +30,8 @@ def exhaustive_good(compiled):
 
 def stuck_detectable(compiled, good, mask, net, value) -> bool:
     """Whether *any* input pattern detects ``net`` stuck-at ``value``."""
-    slot = compiled.index[net]
-    faulty = list(good)
-    faulty[slot] = mask if value else 0
-    compiled.eval_into(faulty, mask, compiled.cone_positions(slot))
-    diff = 0
-    for idx in compiled.observe_idx:
-        diff |= good[idx] ^ faulty[idx]
-    return bool(diff & mask)
+    site = (compiled.index[net], mask if value else 0, None)
+    return bool(compiled.detect_sites([site], good, mask)[0])
 
 
 def can_reach(compiled, good, mask, net, value) -> bool:

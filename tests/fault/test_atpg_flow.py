@@ -211,6 +211,20 @@ class TestAtpgFlow:
         with pytest.raises(ValueError):
             AtpgFlowConfig(batch_size=0)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"n_random_patterns": -5},
+        {"max_idle_batches": 0},
+        {"max_idle_batches": -1},
+    ])
+    def test_config_rejects_silently_skipped_phase1(self, kwargs):
+        """Both values used to skip phase 1 without a word."""
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            AtpgFlowConfig(**kwargs)
+
+    def test_config_accepts_phase1_edges(self):
+        AtpgFlowConfig(n_random_patterns=0)
+        AtpgFlowConfig(max_idle_batches=1)
+
     def test_s27_full_coverage_and_tests_verify(self, s27_netlist):
         flow = AtpgFlow(s27_netlist).run()
         assert flow.coverage == 1.0
@@ -293,6 +307,15 @@ class TestCli:
         assert atpg_main(["s27", "--no-dominance", "--json"]) == 0
         record = json.loads(capsys.readouterr().out.strip())
         assert record["coverage"] == 1.0
+
+    def test_negative_random_patterns_is_usage_error(self, capsys):
+        """A usage error (exit 2), not a run that skips phase 1."""
+        with pytest.raises(SystemExit) as exc:
+            atpg_main(["s27", "--random-patterns", "-5"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "n_random_patterns" in captured.err
+        assert captured.out == ""
 
 
 class TestFlowArtifact:

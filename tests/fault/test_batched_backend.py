@@ -44,7 +44,7 @@ from repro.netlist import Netlist, compile_netlist, validate
 from repro.netlist.wide import WideEngine, clear_plan_cache, words_per_batch
 from repro.obs import Recorder, use_recorder
 
-from .test_numpy_backend import comb_netlist
+from .strategies import comb_netlist
 
 N_PATTERNS = 130
 MAX_FAULTS = 30

@@ -32,13 +32,15 @@ from repro.fault import (
     all_transition_faults,
     random_pattern_words,
 )
-from repro.netlist import Netlist, compile_netlist, validate
+from repro.netlist import compile_netlist
 from repro.netlist.wide import (
     WideEngine,
     row_from_word,
     word_from_row,
     words_per_batch,
 )
+
+from .strategies import comb_netlist
 
 # Multi-word on purpose: 130 patterns = two full uint64 lanes plus a
 # partial third word, so every masking edge case is in play.
@@ -205,43 +207,6 @@ def test_sharded_numpy_matches_serial_int(s298_netlist):
         got = pool.simulate_stuck_packed(faults, words, N_PATTERNS)
     assert got.detected == want.detected
     assert got.coverage == want.coverage
-
-
-NARY = ["AND", "NAND", "OR", "NOR", "XOR", "XNOR"]
-#: Fixed-arity cells (the mapper's AOI/OAI gates and the scan mux), so
-#: every opcode of the wide evaluator is drawn.
-COMPLEX = {"AOI21": 3, "AOI22": 4, "OAI21": 3, "OAI22": 4, "MUX2": 3}
-
-
-@st.composite
-def comb_netlist(draw):
-    """Random combinational netlist (mirrors the ATPG property tests,
-    plus the fixed-arity complex cells)."""
-    n_inputs = draw(st.integers(2, 4))
-    n_gates = draw(st.integers(2, 12))
-    netlist = Netlist("wide_rand")
-    nets = []
-    for i in range(n_inputs):
-        netlist.add_input(f"i{i}")
-        nets.append(f"i{i}")
-    gates = []
-    for g in range(n_gates):
-        func = draw(st.sampled_from(NARY + ["NOT", "BUF"] + sorted(COMPLEX)))
-        if func in ("NOT", "BUF"):
-            fanin = [draw(st.sampled_from(nets))]
-        else:
-            k = COMPLEX.get(func) or draw(st.integers(2, 3))
-            fanin = [draw(st.sampled_from(nets)) for _ in range(k)]
-        name = f"g{g}"
-        netlist.add(name, func, fanin)
-        nets.append(name)
-        gates.append(name)
-    netlist.add_output(gates[-1])
-    for name in gates:
-        if not netlist.fanout(name) and name not in netlist.outputs:
-            netlist.add_output(name)
-    validate(netlist)
-    return netlist
 
 
 @given(comb_netlist(), st.integers(65, 150), st.booleans(),

@@ -200,6 +200,36 @@ def _lane(v0, v1, slot, bit):
     return X
 
 
+def _effect(v0, v1, slot):
+    """Both machines known and different at ``slot``."""
+    a0 = v0[slot]
+    a1 = v1[slot]
+    return bool(((a1 & (a0 >> 1)) | (a0 & (a1 >> 1))) & 1)
+
+
+def _scan_fault_at_output(engine):
+    """From-scratch form of ``Podem._fault_at_output``: every
+    observation point checked."""
+    v0, v1 = engine._v0, engine._v1
+    return any(_effect(v0, v1, out) for out in engine.compiled.observe_idx)
+
+
+def _scan_d_frontier(engine):
+    """From-scratch form of ``Podem._d_frontier``: every eval position
+    (a superset of the site's cone) whose composite value is unsettled
+    and which reads a fault effect, ascending."""
+    v0, v1 = engine._v0, engine._v1
+    base = engine.compiled.n_prefix
+    frontier = []
+    for p, fanin in enumerate(engine.compiled.fanins):
+        slot = base + p
+        if (v0[slot] | v1[slot]) == 3:
+            continue
+        if any(_effect(v0, v1, f) for f in fanin):
+            frontier.append(p)
+    return frontier
+
+
 class TestPackedState:
     """PODEM's packed good/faulty arrays against the dict reference.
 
@@ -207,7 +237,9 @@ class TestPackedState:
     After every step bit 0 of each slot must equal a fresh
     three-valued simulation of the decided inputs, and bit 1 the same
     simulation with the fault site forced to its stuck value; an undo
-    must restore both arrays exactly.
+    must restore both arrays exactly.  The incrementally kept
+    D-frontier and "effect at an output" answer must equal a scan from
+    scratch after every step too.
     """
 
     STEPS = 60
@@ -232,6 +264,8 @@ class TestPackedState:
         for slot, net in enumerate(compiled.names):
             assert _lane(v0, v1, slot, 0) == good[net], (fault, net)
             assert _lane(v0, v1, slot, 1) == faulty[net], (fault, net)
+        assert engine._d_frontier() == _scan_d_frontier(engine), fault
+        assert engine._fault_at_output() == _scan_fault_at_output(engine)
 
     def _walk(self, engine, reference, fault, rng):
         compiled = engine.compiled
@@ -273,6 +307,36 @@ class TestPackedState:
         rng = random.Random(11)
         for fault in self._sites(engine.compiled, rng):
             self._walk(engine, reference, fault, rng)
+
+    @pytest.mark.parametrize("name", ["s27", "s298", "s344"])
+    def test_search_queries_match_scan(self, name):
+        """Inside real searches -- decisions, backtracks, aborts, where
+        fault effects are plentiful -- every D-frontier and
+        effect-at-output answer equals the from-scratch scan."""
+        netlist = load_circuit(name)
+        engine = Podem(netlist, backtrack_limit=20)
+        frontier = engine._d_frontier
+        at_output = engine._fault_at_output
+        seen = {"frontier": 0, "output": 0}
+
+        def checked_frontier():
+            got = frontier()
+            assert got == _scan_d_frontier(engine)
+            seen["frontier"] += bool(got)
+            return got
+
+        def checked_at_output():
+            got = at_output()
+            assert got == _scan_fault_at_output(engine)
+            seen["output"] += got
+            return got
+
+        engine._d_frontier = checked_frontier
+        engine._fault_at_output = checked_at_output
+        faults = collapse_stuck(netlist, all_stuck_faults(netlist))
+        for fault in faults[::max(1, len(faults) // 40)]:
+            engine.generate(fault)
+        assert seen["frontier"] and seen["output"]
 
     def test_justify_state_mirrors_good_machine(self, s298_netlist):
         """Without a fault site both bits hold the fault-free machine."""

@@ -13,7 +13,6 @@ from repro.netlist import (
     compile_cache_info,
     compile_netlist,
     content_hash,
-    fanout_cone,
     topological_order,
 )
 from repro.perf.reference import ReferenceLogicSimulator
@@ -104,22 +103,6 @@ class TestLayout:
         n.add_output("y")
         with pytest.raises(NetlistError):
             CompiledNetlist(n)
-
-
-class TestCones:
-    def test_cone_names_match_fanout_cone(self, s298_netlist):
-        comp = compile_netlist(s298_netlist)
-        order = topological_order(s298_netlist)
-        for net in list(s298_netlist.inputs)[:3] + order[:20]:
-            expected = fanout_cone(s298_netlist, [net])
-            got = comp.cone_names(net)
-            assert list(got) == [n for n in order if n in expected]
-
-    def test_cone_positions_sorted(self, s298_netlist):
-        comp = compile_netlist(s298_netlist)
-        for net in topological_order(s298_netlist)[:20]:
-            pos = comp.cone_positions(comp.index[net])
-            assert list(pos) == sorted(pos)
 
 
 class TestEvalEquivalence:

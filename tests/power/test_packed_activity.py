@@ -40,9 +40,9 @@ class CountingCompiled:
     def __getattr__(self, name):
         return getattr(self._compiled, name)
 
-    def eval_into(self, values, mask, positions=None):
+    def eval_into(self, values, mask):
         self.calls += 1
-        return self._compiled.eval_into(values, mask, positions)
+        return self._compiled.eval_into(values, mask)
 
 
 def counting_simulator(netlist):
