@@ -28,7 +28,6 @@ Subpackages
 ``repro.dft``          scan, enhanced scan, MUX-hold, FLH, fanout opt.
 ``repro.fault``        stuck-at/transition faults, PODEM, fault sim
 ``repro.testapp``      scan-chain shifting and two-pattern protocols
-``repro.bist``         LFSR/MISR test-per-scan BIST
 ``repro.experiments``  one driver per paper table / figure
 """
 

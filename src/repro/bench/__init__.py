@@ -16,7 +16,6 @@ from .catalog import (
 from .embedded import S27_BENCH, s27
 from .generator import available_circuits, generate, load_circuit, stress_spec
 from .parser import load_bench, parse_bench, parse_bench_lines
-from .verilog import verilog_text, write_verilog
 from .writer import bench_text, write_bench
 
 __all__ = [
@@ -35,7 +34,5 @@ __all__ = [
     "s27",
     "spec",
     "stress_spec",
-    "verilog_text",
     "write_bench",
-    "write_verilog",
 ]

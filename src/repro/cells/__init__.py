@@ -28,7 +28,6 @@ from .library import (
     make_or,
     make_xor,
 )
-from .scaling import scale_cell, scale_library, to_250nm
 from .transistor import (
     Transistor,
     inverter_pair,
@@ -63,9 +62,6 @@ __all__ = [
     "make_xor",
     "nmos",
     "pmos",
-    "scale_cell",
-    "scale_library",
-    "to_250nm",
     "total_area",
     "total_width",
 ]

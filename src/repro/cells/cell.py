@@ -9,7 +9,7 @@ the derivations shared by all cells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Tuple
 
@@ -141,17 +141,3 @@ class Cell:
     def clock_energy(self) -> float:
         """Energy drawn from the clock net per cycle (two clock edges)."""
         return self.clock_cap * units.VDD_70NM ** 2
-
-    # -- derivation -------------------------------------------------------
-    def scaled(self, factor: float, name: Optional[str] = None) -> "Cell":
-        """Cell with all widths (hence drive and caps) scaled by ``factor``."""
-        return replace(
-            self,
-            name=name or f"{self.name}@{factor:g}",
-            transistors=tuple(t.scaled(factor) for t in self.transistors),
-            pull_down_width=self.pull_down_width * factor,
-            pull_up_width=self.pull_up_width * factor,
-            output_diff_width=self.output_diff_width * factor,
-            internal_cap=self.internal_cap * factor,
-            clock_cap=self.clock_cap * factor,
-        )

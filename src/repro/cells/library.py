@@ -4,7 +4,7 @@ The paper maps the ISCAS89 netlists onto the LEDA 0.25 um library with
 Synopsys Design Compiler (medium effort; the library's complex AOI/OAI and
 MUX cells reduce the gate count), then scales the netlists to 70 nm BPTM.
 We define the equivalent library directly at 70 nm -- the retargeting is a
-linear shrink (:mod:`repro.cells.scaling` recovers the 0.25 um view).
+linear shrink.
 
 Transistor sizing follows the usual textbook rules: a unit ("X1") inverter
 is a minimum NMOS plus a PN_RATIO-wide PMOS; series stacks are widened by

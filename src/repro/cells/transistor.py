@@ -85,12 +85,6 @@ class Transistor:
             leak *= units.HVT_LEAKAGE_RATIO
         return leak
 
-    def scaled(self, factor: float) -> "Transistor":
-        """Copy with width scaled by ``factor``."""
-        return Transistor(
-            self.kind, self.width * factor, self.length, self.role, self.vt
-        )
-
 
 def nmos(width_in_min: float = 1.0, role: str = "logic",
          vt: str = "svt") -> Transistor:

@@ -34,11 +34,6 @@ from .overhead import (
     total_area,
 )
 from .scan import insert_scan
-from .scan_enable import (
-    ScanEnableTree,
-    build_scan_enable_tree,
-    scan_enable_cost_comparison,
-)
 from .styles import (
     ARBITRARY_TWO_PATTERN_STYLES,
     STYLES,
@@ -54,10 +49,8 @@ __all__ = [
     "FlhGating",
     "OverheadComparison",
     "STYLES",
-    "ScanEnableTree",
     "area_breakdown",
     "build_all_styles",
-    "build_scan_enable_tree",
     "combinational_power",
     "compare_area",
     "compare_delay",
@@ -77,6 +70,5 @@ __all__ = [
     "keeper_internal_energy",
     "keeper_load",
     "optimize_fanout",
-    "scan_enable_cost_comparison",
     "total_area",
 ]

@@ -56,11 +56,6 @@ class FlhConfig:
 
     width_factors: tuple = (1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0)
     keeper_cell: str = "FLH_KEEPER"
-    #: Also gate the fanout gates of the primary inputs.  Used for
-    #: test-per-scan BIST where patterns reach the primary inputs
-    #: serially, "FLH ... can be equally used to the fanout logic gates
-    #: for the primary inputs to provide a transition" (Section IV).
-    gate_primary_input_fanout: bool = False
 
     def __post_init__(self) -> None:
         # Keep the config hashable even when a caller passes the width
@@ -104,9 +99,6 @@ def insert_flh(design: DftDesign,
     netlist = design.netlist
     library = design.library
     targets = first_level_gates(netlist)
-    if config.gate_primary_input_fanout:
-        pi_targets = first_level_gates(netlist, sources=netlist.inputs)
-        targets = sorted(set(targets) | set(pi_targets))
     if not targets:
         raise DftError(f"{netlist.name}: no first-level gates to gate")
 

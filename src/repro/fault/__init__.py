@@ -48,20 +48,6 @@ from .models import (
     all_transition_faults,
 )
 from .broadside import BroadsideAtpg, unroll_two_frames
-from .compaction import (
-    CompactionResult,
-    compact_two_pattern_tests,
-    fill_cube,
-    merge_test_cubes,
-)
-from .diagnosis import Candidate, diagnose, diagnose_defect, simulate_tester
-from .pathdelay import (
-    DelayPath,
-    enumerate_critical_paths,
-    nonrobust_test_ok,
-    path_coverage,
-    robust_test_ok,
-)
 from .podem import AtpgResult, Podem, eval3, generate_tests, justify
 from .sharded import ShardedFaultSimulator, shard_faults
 from .quality import EscapeReport, escape_study, sample_delay_defects
@@ -90,7 +76,6 @@ __all__ = [
     "AtpgFlowResult",
     "AtpgResult",
     "BroadsideAtpg",
-    "Candidate",
     "FALL",
     "FaultSimResult",
     "FaultSimulator",
@@ -102,8 +87,6 @@ __all__ = [
     "STYLE_SKEWED",
     "ShardedFaultSimulator",
     "shard_faults",
-    "CompactionResult",
-    "DelayPath",
     "EscapeReport",
     "StuckFault",
     "TransitionAtpg",
@@ -116,24 +99,14 @@ __all__ = [
     "collapse_transition",
     "dominance_collapse_stuck",
     "dominance_collapse_transition",
-    "compact_two_pattern_tests",
     "compare_styles",
-    "diagnose",
-    "diagnose_defect",
-    "enumerate_critical_paths",
     "escape_study",
     "eval3",
-    "fill_cube",
     "flow_artifact",
     "generate_tests",
     "justify",
-    "merge_test_cubes",
-    "simulate_tester",
-    "nonrobust_test_ok",
-    "path_coverage",
     "random_pattern_coverage",
     "random_pattern_words",
-    "robust_test_ok",
     "run_flow",
     "sample_delay_defects",
     "unroll_two_frames",

@@ -577,7 +577,7 @@ class AtpgFlow:
             if payload["status"] != "aborted":
                 break
         atpg = AtpgResult(fault, payload["status"], payload["test"],
-                          payload["backtracks"], cube=payload["cube"])
+                          payload["backtracks"])
         return atpg, calls, backtracks, calls
 
     def _podem_phase_parallel(self, order: List[StuckFault],

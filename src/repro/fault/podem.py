@@ -168,10 +168,6 @@ class AtpgResult:
     status: str              # "detected", "untestable", "aborted"
     test: Optional[Dict[str, int]] = None  # full input assignment (X -> 0)
     backtracks: int = 0
-    #: The partial assignment (test cube): only the inputs PODEM actually
-    #: decided; everything absent is a don't-care.  Cubes are what static
-    #: compaction merges.
-    cube: Optional[Dict[str, int]] = None
 
     @property
     def detected(self) -> bool:
@@ -268,10 +264,8 @@ class PodemSearch:
         self.result: Optional[AtpgResult] = None
 
     def _finish(self, status: str,
-                test: Optional[Dict[str, int]] = None,
-                cube: Optional[Dict[str, int]] = None) -> AtpgResult:
-        self.result = AtpgResult(self.fault, status, test,
-                                 self.backtracks, cube=cube)
+                test: Optional[Dict[str, int]] = None) -> AtpgResult:
+        self.result = AtpgResult(self.fault, status, test, self.backtracks)
         return self.result
 
     def step(self, max_iterations: Optional[int] = None,
@@ -310,8 +304,7 @@ class PodemSearch:
                 test = {
                     names[s]: assignment.get(s, 0) for s in range(n_prefix)
                 }
-                cube = {names[s]: v for s, v in assignment.items()}
-                return self._finish("detected", test, cube)
+                return self._finish("detected", test)
 
             frontier = engine._d_frontier()
             failed = req_conflict

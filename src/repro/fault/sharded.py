@@ -322,7 +322,6 @@ class _WorkerSession:
                         "status": result.status,
                         "test": result.test,
                         "backtracks": result.backtracks,
-                        "cube": result.cube,
                         "policy": policy["name"],
                     }, len(self.active)))
                     return
@@ -335,7 +334,6 @@ class _WorkerSession:
                                 "status": "cancelled",
                                 "test": None,
                                 "backtracks": search.backtracks,
-                                "cube": None,
                                 "policy": policy["name"],
                             }, len(self.active)))
                             return

@@ -213,9 +213,6 @@ class FlhTargetRule(Rule):
             return
         netlist = ctx.netlist
         allowed: Set[str] = set(first_level_gates(netlist))
-        # The paper's Section IV extension also gates primary-input
-        # fanout gates (test-per-scan BIST), so those are legal targets.
-        allowed.update(first_level_gates(netlist, sources=netlist.inputs))
         for name in design.flh_gating:
             if not netlist.has_net(name):
                 yield self.diag(
@@ -228,8 +225,7 @@ class FlhTargetRule(Rule):
                 yield self.diag(
                     ctx,
                     f"gate {name!r} is supply-gated but is not a "
-                    "first-level gate of any scan flip-flop or primary "
-                    "input",
+                    "first-level gate of any scan flip-flop",
                     gate=name,
                     hint="gating deeper gates adds overhead without "
                     "holding anything; FLH gates the first level only",

@@ -108,7 +108,7 @@ def first_level_gates(netlist: Netlist,
 
     This is the set FLH inserts gating logic into (paper, Table I column
     "Unique fanouts").  ``sources`` defaults to all state inputs; pass a
-    different net list to analyse e.g. primary-input fanout for BIST.
+    different net list to analyse the fanout of other nets.
     """
     if sources is None:
         sources = netlist.state_inputs

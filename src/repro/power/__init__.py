@@ -12,12 +12,6 @@ from .activity import (
     mean_activity,
     switching_activity,
 )
-from .eventsim import (
-    GlitchReport,
-    TimingSimulator,
-    glitch_activity,
-    glitch_study,
-)
 from .logicsim import LogicSimulator, pack_patterns, unpack_word
 from .power_model import (
     PowerOverlay,
@@ -30,17 +24,13 @@ from .power_model import (
 
 __all__ = [
     "DEFAULT_VECTORS",
-    "GlitchReport",
     "LogicSimulator",
-    "TimingSimulator",
     "PowerOverlay",
     "PowerReport",
     "activity_from_frames",
     "analyze_power",
     "clock_power",
     "dynamic_power",
-    "glitch_activity",
-    "glitch_study",
     "leakage_power",
     "mean_activity",
     "pack_patterns",

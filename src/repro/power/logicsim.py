@@ -7,7 +7,7 @@ Two simulators share the same compiled structure:
   fault simulation and ATPG;
 * :meth:`LogicSimulator.run_sequential` -- cycle-by-cycle simulation of
   the full sequential circuit under a vector stream, one value frame
-  per cycle (glitch analysis and scan-chain ordering read the frames);
+  per cycle (the reference :meth:`run_packed` is checked against);
 * :meth:`LogicSimulator.run_packed` -- the same run with one integer
   bit lane per *cycle*, used to extract switching activity for the
   power model (the paper's "100 random vectors" NanoSim run).

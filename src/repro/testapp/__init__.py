@@ -7,18 +7,6 @@ Public surface::
     from repro.testapp import apply_skewed_load, FIG5B_SEQUENCE
 """
 
-from .chain_order import (
-    order_chain_for_shift_power,
-    reorder_design,
-    state_difference_matrix,
-)
-from .integrity import (
-    FLUSH_PATTERN,
-    TestTimeReport,
-    chain_integrity_issues,
-    flush_test,
-    tester_time,
-)
 from .protocols import (
     FIG5B_SEQUENCE,
     ProtocolTrace,
@@ -31,18 +19,12 @@ from .scan_chain import (
     ScanChainSimulator,
     ShiftPowerStudy,
     ShiftTrace,
-    partition_chains,
     shift_power_study,
 )
 
 __all__ = [
     "FIG5B_SEQUENCE",
-    "FLUSH_PATTERN",
     "ISOLATING_STYLES",
-    "TestTimeReport",
-    "chain_integrity_issues",
-    "flush_test",
-    "tester_time",
     "ProtocolTrace",
     "ScanChainSimulator",
     "ShiftPowerStudy",
@@ -50,9 +32,5 @@ __all__ = [
     "apply_broadside",
     "apply_skewed_load",
     "apply_two_pattern",
-    "order_chain_for_shift_power",
-    "partition_chains",
-    "reorder_design",
     "shift_power_study",
-    "state_difference_matrix",
 ]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional
 
 from ..dft.styles import DftDesign
 from ..errors import SimulationError
@@ -38,41 +38,13 @@ class ShiftTrace:
     final_state: Dict[str, int]  # chain contents after the shift
 
 
-def partition_chains(chain: Sequence[str], n_chains: int) -> List[List[str]]:
-    """Split one chain order into ``n_chains`` balanced chains.
-
-    Contiguous slices (how physical stitching usually partitions);
-    shifting all chains in parallel takes ``ceil(len/n)`` cycles instead
-    of ``len`` -- the usual test-time lever.
-    """
-    if n_chains < 1:
-        raise SimulationError("need at least one scan chain")
-    length = -(-len(chain) // n_chains)
-    return [
-        list(chain[i: i + length]) for i in range(0, len(chain), length)
-    ]
-
-
 class ScanChainSimulator:
-    """Shift simulator bound to one DFT design.
+    """Shift simulator bound to one DFT design and its scan chain."""
 
-    ``chains`` allows a multi-chain configuration (parallel shifting);
-    by default the design's single chain is used.
-    """
-
-    def __init__(self, design: DftDesign,
-                 chains: Optional[Sequence[Sequence[str]]] = None):
+    def __init__(self, design: DftDesign):
         if not design.scan_chain:
             raise SimulationError(f"{design.name}: design has no scan chain")
-        if chains is None:
-            chains = [list(design.scan_chain)]
-        flat = [ff for chain in chains for ff in chain]
-        if sorted(flat) != sorted(design.scan_chain):
-            raise SimulationError(
-                f"{design.name}: chains must partition the scan flip-flops"
-            )
         self.design = design
-        self.chains = [list(chain) for chain in chains]
         self.netlist = design.netlist
         self.sim = LogicSimulator(self.netlist)
         self.isolating = design.style in ISOLATING_STYLES
@@ -89,20 +61,16 @@ class ScanChainSimulator:
         activity is accumulated cycle by cycle unless the style isolates
         the logic (holding elements active / first level gated).
         """
-        state: Dict[str, int] = {ff: 0 for ff in self.design.scan_chain}
+        chain = self.design.scan_chain
+        state: Dict[str, int] = {ff: 0 for ff in chain}
         if initial_state:
             state.update({ff: v & 1 for ff, v in initial_state.items()})
         pis = {net: 0 for net in self.netlist.inputs}
         if pi_values:
             pis.update({net: v & 1 for net, v in pi_values.items()})
 
-        # All chains shift in parallel for max-chain-length cycles;
-        # shorter chains take zero padding ahead of their payload.
-        cycles = max(len(chain) for chain in self.chains)
-        streams: List[List[int]] = []
-        for chain in self.chains:
-            payload = [pattern[ff] & 1 for ff in reversed(chain)]
-            streams.append([0] * (cycles - len(chain)) + payload)
+        cycles = len(chain)
+        stream = [pattern[ff] & 1 for ff in reversed(chain)]
 
         comb_toggles = 0
         chain_toggles = 0
@@ -111,10 +79,9 @@ class ScanChainSimulator:
 
         for cycle in range(cycles):
             new_state = dict(state)
-            for chain, stream in zip(self.chains, streams):
-                new_state[chain[0]] = stream[cycle]
-                for i in range(1, len(chain)):
-                    new_state[chain[i]] = state[chain[i - 1]]
+            new_state[chain[0]] = stream[cycle]
+            for i in range(1, len(chain)):
+                new_state[chain[i]] = state[chain[i - 1]]
             chain_toggles += sum(
                 1 for ff in state if new_state[ff] != state[ff]
             )

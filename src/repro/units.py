@@ -71,15 +71,6 @@ FCLK_NORMAL = 500e6
 #: Scan-shift frequency from the paper's floating-node argument (1 GHz).
 FCLK_SCAN = 1e9
 
-# ---------------------------------------------------------------------------
-# 0.25 um LEDA source library (before scaling).
-# ---------------------------------------------------------------------------
-LMIN_250NM = 0.25 * UM
-WMIN_250NM = 0.5 * UM
-
-#: Linear shrink factor applied when retargeting the 0.25 um library to 70 nm.
-SCALE_250_TO_70 = LMIN_70NM / LMIN_250NM
-
 
 def active_area(width: float, length: float = LMIN_70NM) -> float:
     """Transistor active area W*L in m^2 (the paper's area metric)."""

@@ -95,14 +95,6 @@ class TestCellElectrical:
             if cell.n_inputs > 0 and cell.func is not None:
                 assert cell.input_cap > 0.0
 
-    def test_scaled_cell(self):
-        inv = make_inverter()
-        big = inv.scaled(2.0)
-        assert big.area == pytest.approx(2 * inv.area)
-        assert big.drive_resistance == pytest.approx(
-            inv.drive_resistance / 2
-        )
-
 
 class TestDftCells:
     def test_paper_area_ranking_per_ff(self):

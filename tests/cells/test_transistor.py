@@ -64,12 +64,6 @@ class TestElectrical:
             units.ILEAK_PER_WIDTH * units.UM
         )
 
-    def test_scaled_preserves_vt_and_role(self):
-        t = nmos(1.0, role="keeper", vt="hvt").scaled(3.0)
-        assert t.width == pytest.approx(3 * units.WMIN_70NM)
-        assert t.role == "keeper"
-        assert t.vt == "hvt"
-
 
 class TestAggregates:
     def test_total_width(self):

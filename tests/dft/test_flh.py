@@ -63,21 +63,6 @@ class TestInsertFlh:
     def test_describe_mentions_gating(self, s298_designs):
         assert "gated first-level gates" in s298_designs["flh"].describe()
 
-    def test_primary_input_fanout_option(self, s27_scan):
-        """Section IV: BIST with serial PIs gates the PI fanout too."""
-        from repro.netlist import first_level_gates
-
-        plain = insert_flh(s27_scan)
-        extended = insert_flh(
-            s27_scan, FlhConfig(gate_primary_input_fanout=True)
-        )
-        pi_gates = set(
-            first_level_gates(s27_scan.netlist,
-                              sources=s27_scan.netlist.inputs)
-        )
-        assert set(extended.flh_gating) == set(plain.flh_gating) | pi_gates
-        assert len(extended.flh_gating) > len(plain.flh_gating)
-
 
 class TestOverlays:
     def test_gating_resistance_inverse_width(self):

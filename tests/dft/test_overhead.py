@@ -3,6 +3,7 @@
 import pytest
 
 from repro.dft import (
+    area_breakdown,
     build_all_styles,
     compare_area,
     compare_delay,
@@ -90,3 +91,29 @@ class TestComparisonMechanics:
 
     def test_build_all_styles_keys(self, s27_designs):
         assert set(s27_designs) == {"scan", "enhanced", "mux", "flh"}
+
+
+class TestAreaBreakdown:
+    def test_sums_to_total(self, s298_designs):
+        for style, design in s298_designs.items():
+            breakdown = area_breakdown(design)
+            assert sum(breakdown.values()) == pytest.approx(
+                total_area(design)
+            ), style
+
+    def test_scan_has_no_dft_extras(self, s298_designs):
+        breakdown = area_breakdown(s298_designs["scan"])
+        assert breakdown["holding"] == 0.0
+        assert breakdown["gating"] == 0.0
+        assert breakdown["keeper"] == 0.0
+
+    def test_enhanced_holding_share(self, s298_designs):
+        breakdown = area_breakdown(s298_designs["enhanced"])
+        assert breakdown["holding"] > 0.0
+        assert breakdown["gating"] == 0.0
+
+    def test_flh_gating_and_keeper_shares(self, s298_designs):
+        breakdown = area_breakdown(s298_designs["flh"])
+        assert breakdown["gating"] > 0.0
+        assert breakdown["keeper"] > 0.0
+        assert breakdown["holding"] == 0.0

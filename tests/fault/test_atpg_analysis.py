@@ -96,8 +96,8 @@ class TestGuidedPodem:
         defaulted = [Podem(netlist, 50, guidance=None).generate(f)
                      for f in faults]
         for a, b in zip(plain, defaulted):
-            assert (a.status, a.backtracks, a.cube) == \
-                (b.status, b.backtracks, b.cube)
+            assert (a.status, a.backtracks, a.test) == \
+                (b.status, b.backtracks, b.test)
 
     def test_guided_agrees_on_outcomes_for_small_circuit(self):
         netlist = s27()

@@ -2,9 +2,11 @@
 
 These meta-tests fail when documentation drifts from the code: a README
 that names a missing example, a bench table pointing at a deleted file,
-or a package whose ``__all__`` advertises something it doesn't define.
+a package whose ``__all__`` advertises something it doesn't define, or
+a module that no ``repro`` verb, perfbench workload or oracle imports.
 """
 
+import ast
 import importlib
 import os
 import re
@@ -18,7 +20,6 @@ REPO = os.path.dirname(
 PACKAGES = [
     "repro",
     "repro.bench",
-    "repro.bist",
     "repro.cells",
     "repro.dft",
     "repro.experiments",
@@ -50,6 +51,87 @@ def test_public_symbols_documented(name):
         if callable(obj) and getattr(obj, "__doc__", None) is None:
             undocumented.append(symbol)
     assert not undocumented, f"{name}: no docstring on {undocumented}"
+
+
+SRC = os.path.join(REPO, "src")
+
+
+def _module_path(name):
+    """File of module ``name``, its ``__init__.py`` if a package, or None."""
+    base = os.path.join(SRC, *name.split("."))
+    for path in (base + ".py", os.path.join(base, "__init__.py")):
+        if os.path.exists(path):
+            return path
+    return None
+
+
+def _parse(path):
+    with open(path, encoding="utf-8") as handle:
+        return ast.parse(handle.read(), path)
+
+
+def _resolve(module, path, node):
+    """Absolute module named by a ``from`` import inside ``module``."""
+    if not node.level:
+        return node.module
+    parts = module.split(".")
+    if not path.endswith("__init__.py"):
+        parts.pop()
+    base = ".".join(parts[:len(parts) - node.level + 1])
+    return f"{base}.{node.module}" if node.module else base
+
+
+def _source(package, name):
+    """Module that ``from package import name`` uses: the submodule
+    ``name``, or the module the package ``__init__`` re-exports it from."""
+    if _module_path(f"{package}.{name}"):
+        return f"{package}.{name}"
+    init = _module_path(package)
+    if init and init.endswith("__init__.py"):
+        for node in _parse(init).body:
+            if isinstance(node, ast.ImportFrom) and any(
+                    (a.asname or a.name) == name for a in node.names):
+                return _source(_resolve(package, init, node), name)
+    return package
+
+
+def _reached_by(module, path):
+    """``repro`` modules imported anywhere in the file at ``path``."""
+    for node in ast.walk(_parse(path)):
+        if isinstance(node, ast.Import):
+            yield from (a.name for a in node.names
+                        if a.name.split(".")[0] == "repro")
+        elif isinstance(node, ast.ImportFrom):
+            target = _resolve(module, path, node)
+            if target.split(".")[0] == "repro":
+                yield from (_source(target, a.name) for a in node.names)
+
+
+def test_every_module_is_reached():
+    """Every module is reached from a ``repro`` verb, a perfbench
+    workload or the reference oracle; package re-exports do not count."""
+    todo = ["repro.__main__", "repro.perf.reference"]
+    bench_dir = os.path.join(REPO, "perfbench")
+    for fname in os.listdir(bench_dir):
+        if fname.endswith(".py"):
+            path = os.path.join(bench_dir, fname)
+            todo.extend(_reached_by("perfbench", path))
+    reached = set()
+    while todo:
+        module = todo.pop()
+        path = _module_path(module)
+        if module in reached or path is None:
+            continue
+        reached.add(module)
+        if not path.endswith("__init__.py"):
+            todo.extend(_reached_by(module, path))
+    modules = {
+        os.path.relpath(os.path.join(root, f), SRC)[:-3].replace(os.sep, ".")
+        for root, _, files in os.walk(os.path.join(SRC, "repro"))
+        for f in files if f.endswith(".py") and f != "__init__.py"
+    }
+    unreached = sorted(modules - reached)
+    assert not unreached, f"no verb, workload or oracle imports {unreached}"
 
 
 def _read(relpath):

@@ -19,10 +19,6 @@ def test_node_constants_sane():
     assert units.PN_RATIO > 1.0
 
 
-def test_scale_factor():
-    assert units.SCALE_250_TO_70 == pytest.approx(70 / 250)
-
-
 def test_active_area():
     assert units.active_area(1e-6) == pytest.approx(1e-6 * units.LMIN_70NM)
     assert units.active_area(2e-6, 1e-7) == pytest.approx(2e-13)

@@ -60,60 +60,6 @@ class TestShiftIn:
         assert trace.final_state == {"G5": 0, "G6": 0, "G7": 0}
 
 
-class TestMultipleChains:
-    def test_partition_balanced(self):
-        from repro.testapp import partition_chains
-
-        chains = partition_chains(list("abcdefg"), 3)
-        assert [len(c) for c in chains] == [3, 3, 1]
-        assert [ff for c in chains for ff in c] == list("abcdefg")
-
-    def test_partition_single(self):
-        from repro.testapp import partition_chains
-
-        assert partition_chains(["a", "b"], 1) == [["a", "b"]]
-
-    def test_multi_chain_pattern_lands(self, s298_designs):
-        import random
-
-        from repro.testapp import partition_chains
-
-        design = s298_designs["scan"]
-        chains = partition_chains(design.scan_chain, 3)
-        sim = ScanChainSimulator(design, chains=chains)
-        rng = random.Random(5)
-        pattern = {ff: rng.randint(0, 1) for ff in design.scan_chain}
-        trace = sim.shift_in(pattern)
-        assert trace.final_state == pattern
-
-    def test_multi_chain_fewer_cycles(self, s298_designs):
-        from repro.testapp import partition_chains
-
-        design = s298_designs["scan"]
-        chains = partition_chains(design.scan_chain, 2)
-        sim = ScanChainSimulator(design, chains=chains)
-        pattern = {ff: 1 for ff in design.scan_chain}
-        trace = sim.shift_in(pattern)
-        assert trace.cycles == 7  # ceil(14 / 2)
-
-    def test_incomplete_partition_rejected(self, s298_designs):
-        design = s298_designs["scan"]
-        with pytest.raises(SimulationError):
-            ScanChainSimulator(design, chains=[design.scan_chain[:5]])
-
-    def test_multi_chain_still_isolated_under_flh(self, s298_designs):
-        import random
-
-        from repro.testapp import partition_chains
-
-        design = s298_designs["flh"]
-        chains = partition_chains(design.scan_chain, 4)
-        sim = ScanChainSimulator(design, chains=chains)
-        rng = random.Random(5)
-        pattern = {ff: rng.randint(0, 1) for ff in design.scan_chain}
-        assert sim.shift_in(pattern).comb_toggles == 0
-
-
 class TestShiftPowerStudy:
     def test_isolation_saves_energy(self, s298_designs):
         study = shift_power_study(
