@@ -8,8 +8,10 @@ Usage::
     python -m repro table4            # Table IV (fanout optimization)
     python -m repro fig2 fig4 fig5    # figures
     python -m repro coverage          # Section IV coverage study
+    python -m repro shift             # Section IV scan-shift power
     python -m repro ablation          # gating-size ablation
-    python -m repro all               # everything above
+    python -m repro partial variation # ref. [3] and Section I studies
+    python -m repro all               # every study above
     python -m repro quick             # fast subset (small circuits)
 
     python -m repro lint s298                 # lint a catalog circuit
@@ -46,7 +48,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from .experiments import (
     ablation_sizing,
@@ -55,6 +57,7 @@ from .experiments import (
     fig4_hold,
     fig5_timing,
     partial_study,
+    shift_power,
     table1_area,
     table2_delay,
     table3_power,
@@ -64,50 +67,39 @@ from .experiments import (
 
 QUICK_CIRCUITS = ("s298", "s344", "s382")
 
+#: A study: ``(processes, task_timeout) -> result``; ``main`` prints
+#: the result's ``render()``.  Only the per-circuit tables 1-3 fan
+#: out -- the rest ignore both knobs.
+Study = Callable[[int, Optional[float]], Any]
 
-def _run_table4_quick(p: int, t: Optional[float]) -> None:
-    print(table4_fanout.run(circuits=("s838",), n_vectors=20,
-                            max_candidates=10).render())
-
-
-# Each entry takes (processes, task_timeout); only the table 1-3
-# drivers fan out -- the rest ignore both knobs.
-EXPERIMENTS: Dict[str, Callable[[int, Optional[float]], None]] = {
-    "table1": lambda p, t: print(
-        table1_area.run(processes=p, task_timeout=t).render()
-    ),
-    "table2": lambda p, t: print(
-        table2_delay.run(processes=p, task_timeout=t).render()
-    ),
-    "table3": lambda p, t: print(
-        table3_power.run(processes=p, task_timeout=t).render()
-    ),
-    "table4": lambda p, t: print(
-        table4_fanout.run(max_candidates=120).render()
-    ),
-    "fig2": lambda p, t: print(fig2_decay.run().render()),
-    "fig4": lambda p, t: print(fig4_hold.run().render()),
-    "fig5": lambda p, t: print(fig5_timing.run().render()),
-    "coverage": lambda p, t: print(coverage_study.run().render()),
-    "ablation": lambda p, t: print(ablation_sizing.run().render()),
-    "partial": lambda p, t: print(partial_study.run().render()),
-    "variation": lambda p, t: print(variation_quality.run().render()),
+#: The paper's studies, each with the one set of parameters it is
+#: reproduced at.  ``benchmarks/results/<name>.txt`` holds each
+#: study's ``render()``, and ``benchmarks/test_claims.py`` checks both
+#: that text and the claims the paper makes of it.
+EXPERIMENTS: Dict[str, Study] = {
+    "table1": lambda p, t: table1_area.run(processes=p, task_timeout=t),
+    "table2": lambda p, t: table2_delay.run(processes=p, task_timeout=t),
+    "table3": lambda p, t: table3_power.run(processes=p, task_timeout=t),
+    "table4": lambda p, t: table4_fanout.run(max_candidates=120),
+    "fig2": lambda p, t: fig2_decay.run(),
+    "fig4": lambda p, t: fig4_hold.run(),
+    "fig5": lambda p, t: fig5_timing.run(),
+    "coverage": lambda p, t: coverage_study.run(),
+    "shift": lambda p, t: shift_power.run(),
+    "ablation": lambda p, t: ablation_sizing.run(),
+    "partial": lambda p, t: partial_study.run(),
+    "variation": lambda p, t: variation_quality.run(),
 }
 
-QUICK: Dict[str, Callable[[int, Optional[float]], None]] = {
-    "table1": lambda p, t: print(
-        table1_area.run(circuits=QUICK_CIRCUITS,
-                        processes=p, task_timeout=t).render()
-    ),
-    "table2": lambda p, t: print(
-        table2_delay.run(circuits=QUICK_CIRCUITS,
-                         processes=p, task_timeout=t).render()
-    ),
-    "table3": lambda p, t: print(
-        table3_power.run(circuits=QUICK_CIRCUITS, n_vectors=40,
-                         processes=p, task_timeout=t).render()
-    ),
-    "table4": _run_table4_quick,
+QUICK: Dict[str, Study] = {
+    "table1": lambda p, t: table1_area.run(
+        circuits=QUICK_CIRCUITS, processes=p, task_timeout=t),
+    "table2": lambda p, t: table2_delay.run(
+        circuits=QUICK_CIRCUITS, processes=p, task_timeout=t),
+    "table3": lambda p, t: table3_power.run(
+        circuits=QUICK_CIRCUITS, n_vectors=40, processes=p, task_timeout=t),
+    "table4": lambda p, t: table4_fanout.run(
+        circuits=("s838",), n_vectors=20, max_candidates=10),
     "fig5": EXPERIMENTS["fig5"],
 }
 
@@ -172,6 +164,10 @@ def main(argv: List[str] | None = None) -> int:
 
     add_trace_argument(parser)
     args = parser.parse_args(argv)
+    if args.processes < 1:
+        parser.error(f"--processes must be >= 1, got {args.processes}")
+    if args.task_timeout is not None and args.task_timeout <= 0:
+        parser.error(f"--task-timeout must be > 0, got {args.task_timeout}")
 
     requested: List[str] = []
     for name in args.experiments:
@@ -190,13 +186,16 @@ def main(argv: List[str] | None = None) -> int:
                     print(f"== {key} (quick) ==")
                     with rec.span("experiment", cat="experiment",
                                   experiment=key, quick=True):
-                        QUICK[key](args.processes, args.task_timeout)
+                        result = QUICK[key](args.processes,
+                                            args.task_timeout)
+                    print(result.render())
                     print()
                 continue
             print(f"== {name} ==")
             with rec.span("experiment", cat="experiment",
                           experiment=name):
-                EXPERIMENTS[name](args.processes, args.task_timeout)
+                result = EXPERIMENTS[name](args.processes, args.task_timeout)
+            print(result.render())
             print()
     return 0
 

@@ -11,7 +11,7 @@ the flip-flops whose first-level fanout cones reach the most faults --
 approximated by fanout-cone size) and integrates with
 :class:`repro.fault.transition.TransitionAtpg` through the
 ``held_state`` constraint so the coverage/overhead trade-off curve can
-be measured (see ``benchmarks/bench_partial_enhanced.py``).
+be measured (``python -m repro partial``).
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ Public surface::
     from repro.experiments import table1_area, table2_delay, table3_power
     from repro.experiments import table4_fanout, fig2_decay, fig4_hold
     from repro.experiments import fig5_timing, coverage_study, ablation_sizing
+    from repro.experiments import shift_power, partial_study, variation_quality
 """
 
 from . import (
@@ -17,6 +18,7 @@ from . import (
     parallel,
     partial_study,
     report,
+    shift_power,
     table1_area,
     table2_delay,
     table3_power,
@@ -40,10 +42,11 @@ __all__ = [
     "partial_study",
     "report",
     "run_per_circuit",
+    "shift_power",
     "summary_line",
-    "variation_quality",
     "table1_area",
     "table2_delay",
     "table3_power",
     "table4_fanout",
+    "variation_quality",
 ]

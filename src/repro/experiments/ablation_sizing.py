@@ -88,12 +88,3 @@ def run(circuit_name: str = "s298",
             }
         )
     return SizingAblationResult(circuit=circuit_name, rows=rows)
-
-
-def main() -> None:
-    """Print the sizing ablation."""
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

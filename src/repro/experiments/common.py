@@ -2,7 +2,7 @@
 
 All table experiments run the same front-end flow (reconstruct circuit,
 technology-map, insert scan, derive the three holding styles); this
-module caches those products per circuit so one bench session never
+module caches those products per circuit so one ``repro`` run never
 repeats the work.
 """
 
@@ -55,7 +55,7 @@ def styled_designs(name: str,
 
 
 def clear_caches() -> None:
-    """Drop cached circuits/designs/compiled kernels between bench groups."""
+    """Drop cached circuits/designs/compiled kernels."""
     _design_cache.clear()
     _netlist_cache.clear()
     clear_compile_cache()

@@ -1,6 +1,6 @@
-"""Section IV claims: fault coverage and test-mode power.
+"""Section IV claims: fault coverage.
 
-Four measurements per circuit:
+Three measurements per circuit:
 
 1. transition-fault coverage under the three application styles --
    arbitrary (enhanced scan / FLH) dominates skewed-load dominates
@@ -10,10 +10,9 @@ Four measurements per circuit:
    flow sits on, plus how much of it random patterns buy;
 3. capture-response equality of enhanced scan and FLH over a shared
    test set -- "fault coverage for enhanced scan and FLH for a given
-   test set remain unchanged";
-4. scan-shift combinational energy with and without isolation --
-   FLH "is equally effective in completely eliminating redundant
-   switching power" (cf. Gerstendoerfer & Wunderlich's 78% figure).
+   test set remain unchanged".
+
+The section's scan-shift power claim is :mod:`.shift_power`.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from ..fault import (
     collapse_transition,
     compare_styles,
 )
-from ..testapp import apply_two_pattern, shift_power_study
+from ..testapp import apply_two_pattern
 from .common import SEED, circuit, styled_designs
 from .report import format_table
 
@@ -42,7 +41,6 @@ class CoverageStudyResult:
     coverage_by_style: Dict[str, float]
     effective_by_style: Dict[str, float]
     responses_identical: bool
-    shift_saving_fraction: float
     #: Stuck-at baseline via the two-phase fault-dropping pipeline.
     stuck_coverage: float = 0.0
     stuck_n_faults: int = 0
@@ -75,8 +73,6 @@ class CoverageStudyResult:
             f"{'YES' if self.ordering_holds else 'NO'}",
             f"enhanced-scan and FLH responses identical: "
             f"{'YES' if self.responses_identical else 'NO'}",
-            f"scan-shift energy saved by isolation: "
-            f"{self.shift_saving_fraction * 100.0:.1f}%",
             f"stuck-at coverage (two-phase flow): "
             f"{self.stuck_coverage:.4f} over {self.stuck_n_faults} faults "
             f"({self.stuck_detected_random} random-detected, "
@@ -87,8 +83,7 @@ class CoverageStudyResult:
 
 def run(circuit_name: str = "s298", seed: int = SEED,
         n_random_pairs: int = 64, n_check_tests: int = 20,
-        n_shift_patterns: int = 8, backend: str = "auto",
-        ) -> CoverageStudyResult:
+        backend: str = "auto") -> CoverageStudyResult:
     """Run the full Section IV study on one circuit.
 
     ``backend`` selects the fault-simulation engine for both the style
@@ -116,11 +111,6 @@ def run(circuit_name: str = "s298", seed: int = SEED,
             identical = False
             break
 
-    study = shift_power_study(
-        designs["scan"], designs["flh"],
-        n_patterns=n_shift_patterns, seed=seed,
-    )
-
     flow = AtpgFlow(netlist, AtpgFlowConfig(seed=seed,
                                             backend=backend)).run()
     summary = flow.summary()
@@ -132,18 +122,8 @@ def run(circuit_name: str = "s298", seed: int = SEED,
             s: r.effective_coverage for s, r in results.items()
         },
         responses_identical=identical,
-        shift_saving_fraction=study.saving_fraction,
         stuck_coverage=flow.coverage,
         stuck_n_faults=flow.n_faults,
         stuck_detected_random=int(summary["detected_random"]),
         stuck_podem_calls=flow.podem_calls,
     )
-
-
-def main() -> None:
-    """Print the coverage study."""
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

@@ -66,12 +66,3 @@ def run(t_stop: float = 60 * units.NS, samples: int = 12) -> Fig2Result:
             }
         )
     return Fig2Result(report=report, waveform_rows=rows)
-
-
-def main() -> None:
-    """Print the Fig. 2 reproduction."""
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

@@ -56,12 +56,3 @@ def run(t_stop: float = 100 * units.NS, samples: int = 12) -> Fig4Result:
             }
         )
     return Fig4Result(report=report, waveform_rows=rows)
-
-
-def main() -> None:
-    """Print the Fig. 4 reproduction."""
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

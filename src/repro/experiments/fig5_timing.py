@@ -58,12 +58,3 @@ def run(circuit_name: str = "s298", seed: int = SEED) -> Fig5Result:
         matches_canonical=tuple(trace.event_messages()) == FIG5B_SEQUENCE,
         isolated=trace.shift_comb_toggles == 0,
     )
-
-
-def main() -> None:
-    """Print the Fig. 5(b) reproduction."""
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

@@ -101,13 +101,16 @@ class ParallelRunner:
         serially in-process -- same results, no subprocess overhead.
     timeout:
         Per-task wall-clock limit in seconds (subprocess mode only; a
-        serial run cannot preempt a task).  ``None`` disables it.
+        serial run cannot preempt a task).  ``None`` disables it; it
+        must otherwise be positive.
     """
 
     def __init__(self, processes: int = 1,
                  timeout: Optional[float] = None):
         if processes < 1:
             raise ValueError(f"processes must be >= 1, got {processes}")
+        if timeout is not None and timeout <= 0:
+            raise ValueError(f"timeout must be > 0, got {timeout}")
         self.processes = processes
         self.timeout = timeout
 

@@ -111,12 +111,3 @@ def run(circuit_name: str = "s298",
         }
     )
     return PartialStudyResult(circuit=circuit_name, rows=rows)
-
-
-def main() -> None:
-    """Print the partial enhanced scan study."""
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

@@ -94,12 +94,3 @@ def run(circuits: Optional[Sequence[str]] = None,
         else:
             rows.append(error_row(outcome))
     return Table1Result(rows=rows, comparisons=comparisons)
-
-
-def main() -> None:
-    """Print the full Table I reproduction."""
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

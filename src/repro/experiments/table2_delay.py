@@ -86,12 +86,3 @@ def run(circuits: Optional[Sequence[str]] = None,
         else:
             rows.append(error_row(outcome))
     return Table2Result(rows=rows, comparisons=comparisons)
-
-
-def main() -> None:
-    """Print the full Table II reproduction."""
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

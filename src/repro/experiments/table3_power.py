@@ -87,12 +87,3 @@ def run(circuits: Optional[Sequence[str]] = None,
         else:
             rows.append({"circuit": outcome.item[0], "error": outcome.error})
     return Table3Result(rows=rows, comparisons=comparisons)
-
-
-def main() -> None:
-    """Print the full Table III reproduction."""
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

@@ -95,12 +95,3 @@ def run(circuits: Optional[Sequence[str]] = None,
         results.append(result)
         rows.append(result.as_row())
     return Table4Result(rows=rows, results=results)
-
-
-def main() -> None:
-    """Print the full Table IV reproduction."""
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

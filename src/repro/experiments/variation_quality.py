@@ -114,12 +114,3 @@ def run(circuit_name: str = "s298", n_samples: int = 200,
         failure_probability=fail_prob,
         escapes=escapes,
     )
-
-
-def main() -> None:
-    """Print the variation/quality study."""
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

@@ -101,19 +101,15 @@ def fanout_cone(netlist: Netlist, nets: Iterable[str]) -> Set[str]:
     return seen
 
 
-def first_level_gates(netlist: Netlist,
-                      sources: Iterable[str] | None = None) -> List[str]:
+def first_level_gates(netlist: Netlist) -> List[str]:
     """The *unique first-level gates*: combinational gates fed directly by
     a state input (scan flip-flop output).
 
     This is the set FLH inserts gating logic into (paper, Table I column
-    "Unique fanouts").  ``sources`` defaults to all state inputs; pass a
-    different net list to analyse the fanout of other nets.
+    "Unique fanouts").
     """
-    if sources is None:
-        sources = netlist.state_inputs
     unique: Set[str] = set()
-    for net in sources:
+    for net in netlist.state_inputs:
         for sink_name in netlist.fanout(net):
             if netlist.gate(sink_name).is_combinational:
                 unique.add(sink_name)

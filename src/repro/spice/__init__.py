@@ -17,18 +17,15 @@ from .mosfet import Mosfet
 from .testbenches import (
     DECAY_DEADLINE,
     DECAY_LEVEL,
-    CrosstalkReport,
     DecayReport,
     HoldReport,
     build_gated_chain,
-    crosstalk_disturbance,
     flh_hold,
     floating_decay,
 )
 from .transient import TransientResult, simulate
 
 __all__ = [
-    "CrosstalkReport",
     "DECAY_DEADLINE",
     "DECAY_LEVEL",
     "DecayReport",
@@ -40,7 +37,6 @@ __all__ = [
     "VDD_NODE",
     "build_gated_chain",
     "constant",
-    "crosstalk_disturbance",
     "flh_hold",
     "floating_decay",
     "simulate",

@@ -58,10 +58,6 @@ class TransientCircuit:
         }
         self.extra_cap: Dict[str, float] = {}
         self.initial: Dict[str, float] = {}
-        #: Coupling capacitors (node_a, node_b, farads): charge injected
-        #: into either node when the other one moves (crosstalk; the
-        #: paper's gate-to-drain coupling argument for floated outputs).
-        self.couplings: List[tuple] = []
 
     # -- construction -----------------------------------------------------
     def add_device(self, device: Mosfet) -> None:
@@ -105,21 +101,6 @@ class TransientCircuit:
     def add_cap(self, node: str, farads: float) -> None:
         """Add explicit capacitance on a node."""
         self.extra_cap[node] = self.extra_cap.get(node, 0.0) + farads
-
-    def add_coupling(self, node_a: str, node_b: str, farads: float) -> None:
-        """Add a coupling capacitor between two nodes.
-
-        Each free endpoint sees the coupling capacitance to ground (for
-        its time constant) plus charge injection proportional to the
-        other endpoint's voltage swing -- the mechanism by which a
-        switching input disturbs a floated gated-gate output (Fig. 2
-        discussion).
-        """
-        if farads <= 0.0:
-            raise SimulationError("coupling capacitance must be positive")
-        self.couplings.append((node_a, node_b, farads))
-        for node in (node_a, node_b):
-            self.extra_cap[node] = self.extra_cap.get(node, 0.0) + farads
 
     def set_initial(self, node: str, volts: float) -> None:
         """Initial condition for a free node (default 0 V)."""

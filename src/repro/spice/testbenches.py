@@ -160,51 +160,3 @@ def flh_hold(t_stop: float = 200 * units.NS) -> HoldReport:
         out3_min=float(np.min(result.voltages["out3"][settle])),
         result=result,
     )
-
-
-@dataclass(frozen=True)
-class CrosstalkReport:
-    """OUT1 disturbance under aggressor coupling."""
-
-    out1_min: float     # deepest instantaneous dip
-    out1_final: float   # settled value at the end of the window
-
-    def recovered(self, margin: float = 0.1) -> bool:
-        """Node back at its rail by the end of the window."""
-        return self.out1_final >= (1.0 - margin) * units.VDD_70NM
-
-
-def crosstalk_disturbance(keeper: bool,
-                          coupling: float = 0.4 * units.FF,
-                          n_edges: int = 20,
-                          t_stop: float = 60 * units.NS) -> CrosstalkReport:
-    """OUT1 disturbance under aggressor coupling (Fig. 2 discussion).
-
-    A neighbouring wire toggling next to the floated OUT1 injects charge
-    through ``coupling`` farads on every edge.  Both configurations see
-    the instantaneous kick, but without the keeper the node has no
-    restoring path and drifts off its rail ("crosstalk noise ... can
-    easily change the voltage of a floated output") while the keeper
-    pulls it back after every edge.  The chain input is held at 0 so
-    only coupling (not the discharge path of :func:`floating_decay`)
-    acts on the node.
-    """
-    tb = build_gated_chain(keeper=keeper, input_high_at=10 * t_stop)
-    toggles = {}
-    t = 2 * units.NS
-    level = 0.0
-    for _ in range(n_edges):
-        level = units.VDD_70NM - level
-        toggles[t] = level
-        t += (t_stop - 4 * units.NS) / n_edges
-    # The aggressor is a strongly driven neighbouring wire routed next
-    # to OUT1 (ideal source: its driver is elsewhere and much stronger
-    # than anything on this node).
-    tb.drive("aggr", step_wave(toggles, initial=0.0))
-    tb.add_coupling("aggr", "out1", coupling)
-    result = simulate(tb, t_stop, record_every=20 * units.PS)
-    settle = result.times >= 2 * units.NS
-    return CrosstalkReport(
-        out1_min=float(np.min(result.voltages["out1"][settle])),
-        out1_final=float(result.voltages["out1"][-1]),
-    )

@@ -144,19 +144,7 @@ def simulate(circuit: TransientCircuit, t_stop: float,
                 currents.append(source_current)
             last_record = t
 
-        volts = volts + dv * dt
-        # Crosstalk: a driven node stepping by dV injects charge through
-        # each coupling capacitor into its free counterpart.
-        for node_a, node_b, c_couple in circuit.couplings:
-            for src, victim in ((node_a, node_b), (node_b, node_a)):
-                source = circuit.sources.get(src)
-                vi = index.get(victim)
-                if source is None or vi is None:
-                    continue
-                delta = source(t + dt) - source(t)
-                if delta:
-                    volts[vi] += (c_couple / cap_vec[vi]) * delta
-        volts = np.clip(volts, vmin, vmax)
+        volts = np.clip(volts + dv * dt, vmin, vmax)
         t += dt
 
     times.append(t)

@@ -228,7 +228,7 @@ def apply_skewed_load(design: DftDesign, v1: Mapping[str, int],
 
 
 #: The canonical Fig. 5(b) event sequence for arbitrary two-pattern
-#: application (used by tests and the protocol bench).
+#: application (checked by ``python -m repro fig5`` and the tests).
 FIG5B_SEQUENCE = (
     "TC=0: scan-in V1",
     "V1 in chain",

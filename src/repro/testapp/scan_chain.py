@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..dft.styles import DftDesign
 from ..errors import SimulationError
@@ -48,6 +48,17 @@ class ScanChainSimulator:
         self.netlist = design.netlist
         self.sim = LogicSimulator(self.netlist)
         self.isolating = design.style in ISOLATING_STYLES
+        # (gate, switching energy of one output toggle) in gate order;
+        # an isolating design never lets a shift reach its gates.
+        self._toggle_energy: List[Tuple[str, float]] = []
+        if not self.isolating:
+            library = design.library
+            for gate in self.netlist.combinational_gates():
+                energy = 0.0
+                if gate.cell is not None:
+                    load = load_on_net(self.netlist, library, gate.name)
+                    energy = library.cell(gate.cell).switch_energy(load)
+                self._toggle_energy.append((gate.name, energy))
 
     # ------------------------------------------------------------------
     def shift_in(self, pattern: Mapping[str, int],
@@ -75,7 +86,7 @@ class ScanChainSimulator:
         comb_toggles = 0
         chain_toggles = 0
         comb_energy = 0.0
-        previous = self._comb_frame(state, pis)
+        previous = None if self.isolating else self._comb_frame(state, pis)
 
         for cycle in range(cycles):
             new_state = dict(state)
@@ -86,12 +97,12 @@ class ScanChainSimulator:
                 1 for ff in state if new_state[ff] != state[ff]
             )
             state = new_state
-            frame = self._comb_frame(state, pis)
             if not self.isolating:
+                frame = self._comb_frame(state, pis)
                 toggles, energy = self._frame_delta(previous, frame)
                 comb_toggles += toggles
                 comb_energy += energy
-            previous = frame
+                previous = frame
 
         return ShiftTrace(
             cycles=cycles,
@@ -110,18 +121,13 @@ class ScanChainSimulator:
         return values
 
     def _frame_delta(self, before: Mapping[str, int],
-                     after: Mapping[str, int]) -> tuple:
-        library = self.design.library
+                     after: Mapping[str, int]) -> Tuple[int, float]:
         toggles = 0
         energy = 0.0
-        for gate in self.netlist.combinational_gates():
-            if before[gate.name] == after[gate.name]:
-                continue
-            toggles += 1
-            if gate.cell is not None:
-                cell = library.cell(gate.cell)
-                load = load_on_net(self.netlist, library, gate.name)
-                energy += cell.switch_energy(load)
+        for name, cost in self._toggle_energy:
+            if before[name] != after[name]:
+                toggles += 1
+                energy += cost
         return toggles, energy
 
 

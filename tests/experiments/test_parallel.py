@@ -61,6 +61,12 @@ class TestSerial:
         with pytest.raises(ValueError):
             ParallelRunner(processes=0)
 
+    @pytest.mark.parametrize("timeout", [0, -1.0])
+    def test_non_positive_timeout_rejected(self, timeout):
+        # A zero or negative limit would report every task as timed out.
+        with pytest.raises(ValueError):
+            ParallelRunner(processes=2, timeout=timeout)
+
 
 class TestProcesses:
     def test_parallel_equals_serial(self):

@@ -1,8 +1,9 @@
-"""Tests for the partial-enhanced and variation-quality studies."""
+"""Tests for the partial-enhanced, variation-quality and shift-power
+studies."""
 
 import pytest
 
-from repro.experiments import partial_study, variation_quality
+from repro.experiments import partial_study, shift_power, variation_quality
 
 
 class TestPartialStudy:
@@ -47,3 +48,19 @@ class TestVariationQuality:
         text = result.render()
         assert "Monte-Carlo critical delay" in text
         assert "escape" in text
+
+
+class TestShiftPower:
+    @pytest.fixture(scope="class")
+    def result(self):
+        return shift_power.run(("s298",), n_patterns=3)
+
+    def test_shift_saving(self, result):
+        (row,) = result.rows
+        assert 0.0 < row["saving_flh_%"] < 100.0
+        assert row["saving_flh_%"] == row["saving_enh_%"]
+
+    def test_render(self, result):
+        text = result.render()
+        assert text.startswith("scan-shift energy saved by isolation")
+        assert "s298" in text

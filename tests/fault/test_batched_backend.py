@@ -381,7 +381,7 @@ def test_coverage_study_render_identical_across_backends(s298_netlist,
     byte-identical across int and batched-numpy backends."""
     from repro.experiments import coverage_study
 
-    small = dict(n_random_pairs=16, n_check_tests=4, n_shift_patterns=2)
+    small = dict(n_random_pairs=16, n_check_tests=4)
     want = coverage_study.run("s298", backend="int", **small).render()
     _force_batch(monkeypatch, 8)
     got = coverage_study.run("s298", backend="numpy", **small).render()

@@ -1,9 +1,10 @@
 """Release-hygiene checks: docs, exports and artifacts stay coherent.
 
 These meta-tests fail when documentation drifts from the code: a README
-that names a missing example, a bench table pointing at a deleted file,
-a package whose ``__all__`` advertises something it doesn't define, or
-a module that no ``repro`` verb, perfbench workload or oracle imports.
+that names a missing example, an EXPERIMENTS.md number that its results
+file does not print, a results file that no ``repro`` study writes, a
+package whose ``__all__`` advertises something it doesn't define, or a
+module that no ``repro`` verb, perfbench workload or oracle imports.
 """
 
 import ast
@@ -153,31 +154,40 @@ def test_readme_examples_exist():
         ), f"README references missing example {match}"
 
 
-def test_readme_benches_exist():
-    readme = _read("README.md")
-    for match in re.findall(r"`benchmarks/(bench_[\w.]+\.py)`", readme):
-        assert os.path.exists(
-            os.path.join(REPO, "benchmarks", match)
-        ), f"README references missing bench {match}"
+RESULTS = os.path.join(REPO, "benchmarks", "results")
 
 
-def test_experiments_doc_benches_exist():
+def test_results_files_are_the_studies():
+    """One committed results file per ``repro`` study, and no other."""
+    from repro.__main__ import EXPERIMENTS
+
+    stems = {f[:-4] for f in os.listdir(RESULTS) if f.endswith(".txt")}
+    assert stems == set(EXPERIMENTS)
+
+
+#: A number standing alone: not part of a name such as ``s5378``.
+NUMBER = re.compile(r"(?<![\w.])\d+(?:\.\d+)?(?!\w)")
+
+
+def test_experiments_doc_bold_numbers_are_printed():
+    """Every bold number in an EXPERIMENTS.md section appears in the
+    results file that the section names."""
     doc = _read("EXPERIMENTS.md")
-    for match in set(re.findall(r"`(bench_[\w]+\.py)`", doc)):
-        assert os.path.exists(
-            os.path.join(REPO, "benchmarks", match)
-        ), f"EXPERIMENTS.md references missing bench {match}"
-
-
-def test_every_bench_has_docstring_and_assertions():
-    bench_dir = os.path.join(REPO, "benchmarks")
-    for fname in os.listdir(bench_dir):
-        if not fname.startswith("bench_") or not fname.endswith(".py"):
-            continue
-        text = _read(os.path.join("benchmarks", fname))
-        assert text.lstrip().startswith('"""'), f"{fname}: no docstring"
-        assert "assert" in text, f"{fname}: no shape assertions"
-        assert "save_result" in text, f"{fname}: result not archived"
+    for section in re.split(r"^## ", doc, flags=re.M)[1:]:
+        title = section.splitlines()[0]
+        names = set(re.findall(r"results/(\w+)\.txt", section))
+        printed = set()
+        for name in names:
+            path = os.path.join(RESULTS, f"{name}.txt")
+            assert os.path.exists(path), f"{title}: no results/{name}.txt"
+            printed.update(NUMBER.findall(_read(path)))
+        files = ", ".join(f"results/{n}.txt" for n in sorted(names))
+        for bold in re.findall(r"\*\*(.+?)\*\*", section):
+            for number in NUMBER.findall(bold):
+                assert number in printed, (
+                    f"EXPERIMENTS.md {title!r}: **{bold}** is not in "
+                    f"{files or 'any results file'}"
+                )
 
 
 def test_examples_have_docstrings_and_mains():

@@ -122,10 +122,6 @@ class TestFirstLevel:
     def test_total_state_fanout_s27(self, s27_netlist):
         assert total_state_fanout(s27_netlist) == 3
 
-    def test_custom_sources(self, s27_netlist):
-        gates = first_level_gates(s27_netlist, sources=["G0"])
-        assert gates == ["G14"]
-
     def test_shared_first_level_counted_once(self):
         n = Netlist("shared")
         n.add_input("a")

@@ -52,40 +52,6 @@ class TestFlhHold:
         assert hold_report.out2_max < 0.1 * units.VDD_70NM
 
 
-class TestCrosstalk:
-    """The Fig. 2 discussion: coupling disturbs a floated output."""
-
-    @pytest.fixture(scope="class")
-    def reports(self):
-        from repro.spice import crosstalk_disturbance
-
-        bare = crosstalk_disturbance(
-            keeper=False, n_edges=8, t_stop=25 * units.NS
-        )
-        kept = crosstalk_disturbance(
-            keeper=True, n_edges=8, t_stop=25 * units.NS
-        )
-        return bare, kept
-
-    def test_bare_node_disturbed(self, reports):
-        bare, _ = reports
-        assert bare.out1_min < 0.8 * units.VDD_70NM
-
-    def test_bare_node_does_not_recover(self, reports):
-        bare, _ = reports
-        assert not bare.recovered()
-
-    def test_keeper_recovers(self, reports):
-        _, kept = reports
-        assert kept.recovered()
-        assert kept.out1_final > 0.95 * units.VDD_70NM
-
-    def test_keeper_strictly_better(self, reports):
-        bare, kept = reports
-        assert kept.out1_final > bare.out1_final
-        assert kept.out1_min >= bare.out1_min
-
-
 class TestBuildChain:
     def test_keeper_adds_devices(self):
         plain = build_gated_chain(keeper=False)
