@@ -24,12 +24,13 @@ and the remaining fanout cones keep overlapping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 from .. import units
 from ..cells import Library, make_gating_pair
 from ..errors import DftError
 from ..netlist import Netlist, first_level_gates
+from ..obs import get_recorder
 from ..power import PowerOverlay, dynamic_power, leakage_power, switching_activity
 from ..synth.resynth import (
     collapse_double_inverters,
@@ -37,7 +38,7 @@ from ..synth.resynth import (
     inverter_drive_for_fanout,
 )
 from ..timing import timing_state
-from .flh import FlhConfig, flh_power_overlay, insert_flh
+from .flh import FlhConfig, _insert_flh, flh_power_overlay
 from .overhead import total_area
 from .scan import insert_scan
 from .styles import DftDesign
@@ -137,19 +138,20 @@ def _inv1_width_factor(slack: float, library: Library,
 
 
 def _estimated_gain(netlist: Netlist, ff: str, library: Library,
-                    flh_config: FlhConfig, slack: float) -> float:
+                    flh_config: FlhConfig, slack: float,
+                    state_inputs: Set[str]) -> float:
     """Net FLH-area saving (m^2) of buffering ``ff``'s fanout.
 
     Only fanout gates *exclusively* fed by this flip-flop leave the
     first-level set (a gate also fed by another flip-flop stays gated);
     the new first inverter becomes a first-level gate itself -- with
     gating sized for the remaining slack -- and the second inverter
-    costs plain cell area.
+    costs plain cell area.  ``state_inputs`` is the netlist's set of
+    flip-flop outputs, which buffering never changes.
     """
     keeper = library.cell(flh_config.keeper_cell)
     per_gate = keeper.area + _gating_pair_area(flh_config.width_factors[0])
 
-    state_inputs = set(netlist.state_inputs)
     leaving = 0
     sinks = _unique_comb_fanout(netlist, ff)
     for sink in sinks:
@@ -251,71 +253,89 @@ def optimize_fanout(scan_design: DftDesign,
         raise DftError("fanout optimization expects a plain scan design")
     if flh_config is None:
         flh_config = FlhConfig()
-    library = scan_design.library
+    rec = get_recorder()
+    with rec.span("fanout.optimize", cat="dft", circuit=scan_design.name):
+        library = scan_design.library
+        netlist = scan_design.netlist
+        # The one full timing: each later design is timed by re-timing
+        # a copy, and FLH sizing reads these states, not a new timing.
+        timing = timing_state(netlist, library)
+        limit = timing.critical_delay * (1.0 + delay_tolerance)
+        slacks = timing.slacks(timing.critical_delay)
 
-    flh_before = insert_flh(scan_design, flh_config)
-    area_base = total_area(scan_design)
-    ovh_before = (total_area(flh_before) - area_base) / area_base * 100.0
-    fl_before = len(first_level_gates(scan_design.netlist))
-    power_before = combinational_power(flh_before, n_vectors, seed)
-
-    netlist = scan_design.netlist
-    timing = timing_state(netlist, library)
-    limit = timing.critical_delay * (1.0 + delay_tolerance)
-    slacks = timing.slacks(timing.critical_delay)
-
-    gains = {
-        ff: _estimated_gain(
-            netlist, ff, library, flh_config, slacks.get(ff, 0.0)
+        flh_before = _insert_flh(scan_design, flh_config, timing)
+        area_base = total_area(scan_design)
+        ovh_before = (
+            (total_area(flh_before) - area_base) / area_base * 100.0
         )
-        for ff in scan_design.scan_chain
-        if len(_unique_comb_fanout(netlist, ff)) >= min_fanout
-    }
-    candidates = sorted(
-        (ff for ff, gain in gains.items() if gain > 0.0),
-        key=lambda ff: -gains[ff],
-    )
-    if max_candidates is not None:
-        candidates = candidates[:max_candidates]
-    buffers_added = 0
-    ffs_optimized = 0
-    for ff in candidates:
-        # Cheap prefilter: a flip-flop with no slack at its output is on
-        # the critical path; the paper never buffers those.
-        if slacks.get(ff, 0.0) <= 0.0:
-            continue
-        # Sharing may have changed since the estimate: re-check profit.
-        if _estimated_gain(
-            netlist, ff, library, flh_config, slacks.get(ff, 0.0)
-        ) <= 0.0:
-            continue
-        # Edit a copy and re-time only what the edit moved; a rejected
-        # copy is simply dropped, so nothing needs undoing.
-        trial = netlist.copy(netlist.name)
-        added = _optimize_one_ff(trial, ff, library)
-        trial_timing = timing.retimed(trial)
-        if trial_timing.critical_delay > limit:
-            continue  # delay constraint violated
-        netlist, timing = trial, trial_timing
-        buffers_added += added
-        ffs_optimized += 1
+        fl_before = len(first_level_gates(netlist))
+        power_before = combinational_power(flh_before, n_vectors, seed)
 
-    opt_scan = insert_scan(netlist, library, chain_order=scan_design.scan_chain)
-    flh_after = insert_flh(opt_scan, flh_config)
-    ovh_after = (total_area(flh_after) - area_base) / area_base * 100.0
-    fl_after = len(first_level_gates(netlist))
-    power_after = combinational_power(flh_after, n_vectors, seed)
+        state_inputs = set(netlist.state_inputs)
+        gains = {
+            ff: _estimated_gain(
+                netlist, ff, library, flh_config, slacks.get(ff, 0.0),
+                state_inputs,
+            )
+            for ff in scan_design.scan_chain
+            if len(_unique_comb_fanout(netlist, ff)) >= min_fanout
+        }
+        candidates = sorted(
+            (ff for ff, gain in gains.items() if gain > 0.0),
+            key=lambda ff: -gains[ff],
+        )
+        if max_candidates is not None:
+            candidates = candidates[:max_candidates]
+        buffers_added = 0
+        ffs_optimized = 0
+        rejected = 0
+        for ff in candidates:
+            # Cheap prefilter: a flip-flop with no slack at its output is
+            # on the critical path; the paper never buffers those.
+            if slacks.get(ff, 0.0) <= 0.0:
+                continue
+            # Sharing may have changed since the estimate: re-check.
+            if _estimated_gain(
+                netlist, ff, library, flh_config, slacks.get(ff, 0.0),
+                state_inputs,
+            ) <= 0.0:
+                continue
+            # Edit a copy and re-time only what the edit moved; a
+            # rejected copy is simply dropped, so nothing needs undoing.
+            trial = netlist.copy(netlist.name)
+            added = _optimize_one_ff(trial, ff, library)
+            trial_timing = timing.retimed(trial)
+            if trial_timing.critical_delay > limit:
+                rejected += 1
+                continue  # delay constraint violated
+            netlist, timing = trial, trial_timing
+            buffers_added += added
+            ffs_optimized += 1
+        rec.incr("fanout.candidates", len(candidates))
+        rec.incr("fanout.accepted", ffs_optimized)
+        rec.incr("fanout.rejected_delay", rejected)
 
-    return FanoutOptResult(
-        circuit=scan_design.name,
-        n_ffs=scan_design.n_scan_cells,
-        first_level_before=fl_before,
-        first_level_after=fl_after,
-        area_overhead_before_pct=ovh_before,
-        area_overhead_after_pct=ovh_after,
-        comb_power_before=power_before,
-        comb_power_after=power_after,
-        buffers_added=buffers_added,
-        ffs_optimized=ffs_optimized,
-        optimized=flh_after,
-    )
+        opt_scan = insert_scan(netlist, library,
+                               chain_order=scan_design.scan_chain)
+        # ``timing`` times ``netlist``, whose gate records the re-scanned
+        # copy repeats.
+        flh_after = _insert_flh(opt_scan, flh_config, timing)
+        ovh_after = (
+            (total_area(flh_after) - area_base) / area_base * 100.0
+        )
+        fl_after = len(first_level_gates(netlist))
+        power_after = combinational_power(flh_after, n_vectors, seed)
+
+        return FanoutOptResult(
+            circuit=scan_design.name,
+            n_ffs=scan_design.n_scan_cells,
+            first_level_before=fl_before,
+            first_level_after=fl_after,
+            area_overhead_before_pct=ovh_before,
+            area_overhead_after_pct=ovh_after,
+            comb_power_before=power_before,
+            comb_power_after=power_after,
+            buffers_added=buffers_added,
+            ffs_optimized=ffs_optimized,
+            optimized=flh_after,
+        )

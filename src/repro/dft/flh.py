@@ -34,7 +34,7 @@ from ..cells import Library, make_gating_pair
 from ..errors import DftError
 from ..netlist import first_level_gates
 from ..power.power_model import PowerOverlay
-from ..timing import DelayOverlay, load_on_net, timing_state
+from ..timing import DelayOverlay, TimingState, load_on_net, timing_state
 from .styles import DftDesign, FlhGating
 
 
@@ -96,6 +96,18 @@ def insert_flh(design: DftDesign,
         )
     if config is None:
         config = FlhConfig()
+    return _insert_flh(design, config,
+                       timing_state(design.netlist, design.library))
+
+
+def _insert_flh(design: DftDesign, config: FlhConfig,
+                timing: TimingState) -> DftDesign:
+    """:func:`insert_flh`, sized from ``timing``.
+
+    ``timing`` must time ``design.netlist``'s gate records (a
+    :meth:`TimingState.retimed` state does: it equals a from-scratch
+    timing).
+    """
     netlist = design.netlist
     library = design.library
     targets = first_level_gates(netlist)
@@ -103,7 +115,6 @@ def insert_flh(design: DftDesign,
         raise DftError(f"{netlist.name}: no first-level gates to gate")
 
     # Slack of each first-level gate on the *base* design.
-    timing = timing_state(netlist, library)
     slacks = timing.slacks(timing.critical_delay)
     keeper_cap = keeper_load(library, config.keeper_cell)
 

@@ -39,10 +39,10 @@ def run(circuits: Sequence[str] = DEFAULT_CIRCUITS,
     rows: List[Dict[str, object]] = []
     for name in circuits:
         designs = styled_designs(name)
-        flh = shift_power_study(designs["scan"], designs["flh"],
-                                n_patterns=n_patterns)
-        enh = shift_power_study(designs["scan"], designs["enhanced"],
-                                n_patterns=n_patterns)
+        flh, enh = shift_power_study(
+            designs["scan"], (designs["flh"], designs["enhanced"]),
+            n_patterns=n_patterns,
+        )
         rows.append(
             {
                 "circuit": name,

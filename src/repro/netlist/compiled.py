@@ -118,9 +118,11 @@ class CompiledNetlist:
     cache hands the same object to every consumer).
     """
 
-    def __init__(self, netlist: Netlist):
+    def __init__(self, netlist: Netlist, _key: Optional[str] = None):
+        # ``_key``: the netlist's content hash, when the caller (the
+        # compile cache) has computed it already.
         self.name = netlist.name
-        self.key = content_hash(netlist)
+        self.key = content_hash(netlist) if _key is None else _key
 
         dffs = netlist.dffs()
         self.dff_names: Tuple[str, ...] = tuple(g.name for g in dffs)
@@ -822,7 +824,7 @@ def compile_netlist(netlist: Netlist, use_cache: bool = True) -> CompiledNetlist
         rec.incr("compile.disk_misses")
     with rec.span("compile.netlist", cat="compile",
                   circuit=netlist.name, key=key[:12]):
-        compiled = CompiledNetlist(netlist)
+        compiled = CompiledNetlist(netlist, _key=key)
     _COMPILE_CACHE[key] = compiled
     if disk is not None:
         disk.put(key, compiled)

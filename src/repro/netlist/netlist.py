@@ -9,6 +9,12 @@ the traversal code free of special cases.
 Netlists are mutable -- design-for-test transforms add gates and rewire
 pins -- but every mutation goes through a method that keeps the fanout
 index coherent, so lookups stay O(1) throughout.
+
+:meth:`Netlist.copy` is cheap enough to take per trial edit: the copy
+and its source share every fanout set until one of them writes to it
+(copy-on-write), and the copy records the gates it adds, removes or
+replaces, so an incremental analysis can read what an edit touched
+(:meth:`Netlist.edits_since`) instead of scanning every gate.
 """
 
 from __future__ import annotations
@@ -43,6 +49,19 @@ class Netlist:
         self._inputs: List[str] = []
         self._outputs: List[str] = []
         self._fanout: Dict[str, Set[str]] = {}
+        # Copy-on-write bookkeeping, all None until the netlist is first
+        # copied or given a revision: ``_owned`` names the fanout sets
+        # this netlist may write in place (None: all of them, as nothing
+        # shares them); ``_revision`` names the current contents until
+        # the next edit; a copy keeps its source's revision in ``_base``
+        # and the gate names it has edited since in ``_edits``.
+        self._owned: Optional[Set[str]] = None
+        self._revision: Optional[object] = None
+        self._base: Optional[object] = None
+        self._edits: Optional[Set[str]] = None
+        # The flip-flops in insertion order; None until asked for, and
+        # dropped whenever a flip-flop is added, removed or replaced.
+        self._dffs: Optional[Tuple[Gate, ...]] = None
         #: Source provenance, filled in by parsers that track it: the
         #: file the netlist was read from and the 1-based source line of
         #: each gate/input definition.  Lint diagnostics cite these.
@@ -58,22 +77,32 @@ class Netlist:
             raise NetlistError(f"net {net!r} already driven")
         self._gates[net] = Gate(net, "INPUT")
         self._inputs.append(net)
-        self._fanout.setdefault(net, set())
+        if self._owned is not None:
+            self._edited(net)
+        if net not in self._fanout:
+            self._writable(net)
 
     def add_output(self, net: str) -> None:
         """Declare a net as a primary output (it may be driven later)."""
         if net in self._outputs:
             raise NetlistError(f"duplicate primary output {net!r}")
         self._outputs.append(net)
+        self._revision = None
 
     def add_gate(self, gate: Gate) -> None:
         """Add a gate; its fanin nets need not exist yet."""
-        if gate.name in self._gates:
-            raise NetlistError(f"net {gate.name!r} already driven")
-        self._gates[gate.name] = gate
-        self._fanout.setdefault(gate.name, set())
+        name = gate.name
+        if name in self._gates:
+            raise NetlistError(f"net {name!r} already driven")
+        self._gates[name] = gate
+        if gate.is_dff:
+            self._dffs = None
+        if self._owned is not None:
+            self._edited(name)
+        if name not in self._fanout:
+            self._writable(name)
         for net in gate.fanin:
-            self._fanout.setdefault(net, set()).add(gate.name)
+            self._writable(net).add(name)
 
     def add(self, name: str, func: str, fanin: Iterable[str] = (),
             cell: Optional[str] = None) -> Gate:
@@ -96,29 +125,38 @@ class Netlist:
         self._fanout.pop(name, None)
         if gate.is_input:
             self._inputs.remove(name)
+        if gate.is_dff:
+            self._dffs = None
+        if self._owned is not None:
+            self._edited(name)
+            self._owned.discard(name)
         for net in gate.fanin:
-            sinks = self._fanout.get(net)
-            if sinks is not None:
-                sinks.discard(name)
+            if net in self._fanout:
+                self._writable(net).discard(name)
         return gate
 
     def replace_gate(self, gate: Gate) -> None:
         """Swap in a new definition for an existing gate name."""
-        old = self._gates.get(gate.name)
+        name = gate.name
+        old = self._gates.get(name)
         if old is None:
-            raise NetlistError(f"no gate named {gate.name!r}")
+            raise NetlistError(f"no gate named {name!r}")
         if old.is_input and not gate.is_input:
-            self._inputs.remove(gate.name)
+            self._inputs.remove(name)
         if gate.is_input and not old.is_input:
-            self._inputs.append(gate.name)
+            self._inputs.append(name)
+        if old.is_dff or gate.is_dff:
+            self._dffs = None
+        if self._owned is not None:
+            self._edited(name)
+        fanout = self._fanout
         for net in old.fanin:
-            if net not in gate.fanin:
-                sinks = self._fanout.get(net)
-                if sinks is not None:
-                    sinks.discard(gate.name)
-        self._gates[gate.name] = gate
+            if net not in gate.fanin and net in fanout:
+                self._writable(net).discard(name)
+        self._gates[name] = gate
         for net in gate.fanin:
-            self._fanout.setdefault(net, set()).add(gate.name)
+            if name not in fanout.get(net, ()):
+                self._writable(net).add(name)
 
     def rewire_pin(self, gate_name: str, pin_index: int, new_net: str) -> None:
         """Reconnect one fanin pin of ``gate_name`` to ``new_net``."""
@@ -164,6 +202,31 @@ class Netlist:
             i += 1
         return f"{stem}_{i}"
 
+    # -- copy-on-write bookkeeping ----------------------------------------
+    def _writable(self, net: str) -> Set[str]:
+        """The fanout set of ``net``, private to this netlist.
+
+        A netlist that has been copied, or is a copy, shares its sets
+        with the other side; it copies a set before its first write.
+        """
+        owned = self._owned
+        if owned is None:
+            sinks = self._fanout.get(net)
+            if sinks is None:
+                sinks = self._fanout[net] = set()
+            return sinks
+        if net in owned:
+            return self._fanout[net]
+        sinks = self._fanout[net] = set(self._fanout.get(net, ()))
+        owned.add(net)
+        return sinks
+
+    def _edited(self, name: str) -> None:
+        """Note an edit of gate ``name`` (copy-on-write netlists only)."""
+        self._revision = None
+        if self._edits is not None:
+            self._edits.add(name)
+
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
@@ -202,7 +265,12 @@ class Netlist:
 
     def dffs(self) -> List[Gate]:
         """All flip-flops in insertion order."""
-        return [g for g in self._gates.values() if g.is_dff]
+        return list(self._dff_records())
+
+    def _dff_records(self) -> Tuple[Gate, ...]:
+        if self._dffs is None:
+            self._dffs = tuple(g for g in self._gates.values() if g.is_dff)
+        return self._dffs
 
     def fanout(self, net: str) -> Set[str]:
         """Names of the gates whose fanin contains ``net`` (a copy)."""
@@ -216,12 +284,12 @@ class Netlist:
     @property
     def state_inputs(self) -> Tuple[str, ...]:
         """DFF output nets: the pseudo primary inputs of the comb. core."""
-        return tuple(g.name for g in self.dffs())
+        return tuple(g.name for g in self._dff_records())
 
     @property
     def state_outputs(self) -> Tuple[str, ...]:
         """DFF data nets: the pseudo primary outputs of the comb. core."""
-        return tuple(g.fanin[0] for g in self.dffs())
+        return tuple(g.fanin[0] for g in self._dff_records())
 
     @property
     def core_inputs(self) -> Tuple[str, ...]:
@@ -239,21 +307,56 @@ class Netlist:
 
     def n_dffs(self) -> int:
         """Number of flip-flops."""
-        return sum(1 for g in self._gates.values() if g.is_dff)
+        return len(self._dff_records())
 
     # ------------------------------------------------------------------
     # misc
     # ------------------------------------------------------------------
     def copy(self, name: Optional[str] = None) -> "Netlist":
-        """Deep-enough copy (gates are immutable, containers are fresh)."""
+        """An independent copy; edits to either side never show in the other.
+
+        Gates are immutable and shared.  Fanout sets are shared too,
+        until one side writes to one: from now on both this netlist and
+        the copy copy a set before their first write to it.  The copy
+        records what it edits, for :meth:`edits_since`.
+        """
         other = Netlist(name or self.name)
         other._inputs = list(self._inputs)
         other._outputs = list(self._outputs)
         other._gates = dict(self._gates)
-        other._fanout = {net: set(sinks) for net, sinks in self._fanout.items()}
+        other._fanout = dict(self._fanout)
+        self._owned = set()
+        other._owned = set()
+        other._base = self.revision()
+        other._edits = set()
+        other._dffs = self._dffs
         other.source_file = self.source_file
         other.source_lines = dict(self.source_lines)
         return other
+
+    def revision(self) -> object:
+        """An opaque token naming this netlist's current contents.
+
+        The same object is returned until the netlist is next edited.
+        """
+        if self._revision is None:
+            self._revision = object()
+            if self._owned is None:
+                # Edits must now drop the token, which they do once
+                # ``_owned`` is set; nothing shares the sets yet.
+                self._owned = set(self._fanout)
+        return self._revision
+
+    def edits_since(self, revision: object) -> Optional[Set[str]]:
+        """Gate names added, removed or replaced since this netlist was
+        copied from the netlist whose :meth:`revision` was ``revision``.
+
+        ``None`` when this netlist is not such a copy: it was built by
+        hand, or copied from another netlist or revision.
+        """
+        if self._base is None or self._base is not revision:
+            return None
+        return set(self._edits)
 
     def __len__(self) -> int:
         return len(self._gates)

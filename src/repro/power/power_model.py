@@ -25,7 +25,7 @@ from .. import units
 from ..cells import Library, default_library
 from ..errors import SimulationError
 from ..netlist import Netlist
-from ..timing.delay_model import DelayOverlay, load_on_net
+from ..timing.delay_model import DelayOverlay, net_loads
 from .activity import switching_activity
 
 
@@ -90,9 +90,9 @@ def dynamic_power(netlist: Netlist, activity: Mapping[str, float],
     """
     if library is None:
         library = default_library()
-    delay_overlay = DelayOverlay(
+    loads = net_loads(netlist, library, DelayOverlay(
         extra_load={} if overlay is None else dict(overlay.extra_cap)
-    )
+    ))
     total = 0.0
     for gate in netlist.gates():
         if gate.is_input:
@@ -106,9 +106,7 @@ def dynamic_power(netlist: Netlist, activity: Mapping[str, float],
             raise SimulationError(
                 f"{netlist.name}: gate {gate.name!r} is not mapped"
             )
-        cell = library.cell(gate.cell)
-        load = load_on_net(netlist, library, gate.name, delay_overlay)
-        energy = cell.switch_energy(load)
+        energy = library.cell(gate.cell).switch_energy(loads[gate.name])
         if overlay is not None:
             energy += overlay.extra_energy_per_toggle.get(gate.name, 0.0)
         total += alpha * energy * frequency

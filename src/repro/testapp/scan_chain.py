@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..dft.styles import DftDesign
 from ..errors import SimulationError
@@ -159,23 +159,26 @@ class ShiftPowerStudy:
         return (self.comb_energy_plain - self.comb_energy_isolated) / total
 
 
-def shift_power_study(plain: DftDesign, isolated: DftDesign,
+def shift_power_study(plain: DftDesign, isolated: Sequence[DftDesign],
                       n_patterns: int = 10, seed: int = 2005,
-                      ) -> ShiftPowerStudy:
-    """Measure scan-shift energy for a plain-scan vs an isolating design.
+                      ) -> List[ShiftPowerStudy]:
+    """Measure scan-shift energy for a plain-scan vs isolating designs.
 
-    Both designs must share the same chain; random patterns are shifted
-    through each and the combinational switching energy compared.
+    All designs must share the same chain; random patterns are shifted
+    through each and the combinational switching energy compared.  The
+    plain chain is shifted once; one study per ``isolated`` design is
+    returned, in order.
     """
-    if plain.scan_chain != isolated.scan_chain:
-        raise SimulationError("designs must share the same scan chain")
+    for design in isolated:
+        if plain.scan_chain != design.scan_chain:
+            raise SimulationError("designs must share the same scan chain")
     rng = random.Random(seed)
     chain = plain.scan_chain
     sim_plain = ScanChainSimulator(plain)
-    sim_iso = ScanChainSimulator(isolated)
+    sims = [ScanChainSimulator(design) for design in isolated]
 
     comb_plain = 0.0
-    comb_iso = 0.0
+    comb_iso = [0.0] * len(sims)
     chain_energy = 0.0
     library = plain.library
     # Average switching energy of one flip-flop output toggle (its cell
@@ -195,16 +198,20 @@ def shift_power_study(plain: DftDesign, isolated: DftDesign,
     for _ in range(n_patterns):
         pattern = {ff: rng.randint(0, 1) for ff in chain}
         trace_p = sim_plain.shift_in(pattern, initial_state=state)
-        trace_i = sim_iso.shift_in(pattern, initial_state=state)
+        for i, sim in enumerate(sims):
+            comb_iso[i] += sim.shift_in(pattern,
+                                        initial_state=state).comb_energy
         comb_plain += trace_p.comb_energy
-        comb_iso += trace_i.comb_energy
         chain_energy += trace_p.chain_toggles * per_toggle
         state = trace_p.final_state
 
-    return ShiftPowerStudy(
-        circuit=plain.name,
-        patterns=n_patterns,
-        comb_energy_plain=comb_plain,
-        comb_energy_isolated=comb_iso,
-        chain_energy=chain_energy,
-    )
+    return [
+        ShiftPowerStudy(
+            circuit=plain.name,
+            patterns=n_patterns,
+            comb_energy_plain=comb_plain,
+            comb_energy_isolated=energy,
+            chain_energy=chain_energy,
+        )
+        for energy in comb_iso
+    ]

@@ -24,7 +24,15 @@ from typing import Dict, List, Optional, Tuple
 from ..cells import Library, default_library
 from ..errors import NetlistError, TimingError
 from ..netlist import Gate, Netlist, compile_netlist
-from .delay_model import CLK_TO_Q, SETUP_TIME, DelayOverlay, gate_delay
+from .delay_model import (
+    CLK_TO_Q,
+    SETUP_TIME,
+    DelayOverlay,
+    _rc_delay,
+    cell_of,
+    gate_delay,
+    net_loads,
+)
 
 
 @dataclass(frozen=True)
@@ -87,13 +95,16 @@ class TimingState:
         self.overlay = overlay
         self.delay = delay
         self.arrival = arrival
-        # Gate records as timed: an edited copy shares every record it
-        # did not touch, so ``is`` finds the edit.
+        # Gate records as timed: retimed() reads an edited gate's old
+        # fanins here and builds the next state's records from these.
         self._gates = gates
         # Topological rank of every combinational gate: a gate ranks
         # above each of its combinational fanins.
         self._rank = rank
         self._order = order
+        # Names the timed contents: a direct copy of them reports its
+        # edits against it (Netlist.edits_since).
+        self._revision = netlist.revision()
         self.worst_net, self.critical_delay = _worst_endpoint(
             netlist, arrival
         )
@@ -110,25 +121,35 @@ class TimingState:
     def retimed(self, trial: Netlist) -> "TimingState":
         """The timing of ``trial``, an edited copy of this netlist.
 
-        The edited gates are the records of ``trial`` that are not this
-        state's records (:meth:`Netlist.copy` shares the immutable
-        :class:`Gate` objects), plus the removed ones.  Their delays are
-        recomputed, and so are the delays of the drivers of their old
-        and new fanins, whose loads moved.  Arrivals are re-propagated
-        from there in topological order over the forward cone, stopping
-        where an arrival comes out unchanged; the endpoints are re-read
-        from ``trial``.  Every delay, arrival and the critical delay
-        equal those of ``timing_state(trial, ...)`` exactly.
+        The edited gates are the ones ``trial`` records as added,
+        removed or replaced, as a direct copy of this state's netlist
+        (:meth:`Netlist.edits_since`).  Their delays are recomputed, and
+        so are the delays of the drivers of their old and new fanins,
+        whose loads moved.  Arrivals are re-propagated from there in
+        topological order over the forward cone, stopping where an
+        arrival comes out unchanged; the endpoints are re-read from
+        ``trial``.  Any other trial -- a copy of a copy, one built by
+        hand, or a copy of this netlist after a later edit -- carries no
+        such record and is timed from scratch.  Either way every delay,
+        arrival and the critical delay equal those of
+        ``timing_state(trial, ...)`` exactly.
         """
+        edits = trial.edits_since(self._revision)
+        if edits is None:
+            return timing_state(trial, self.library, self.overlay)
         _require_capture_points(trial)
+        # The timed records with the edits applied: the copy costs what
+        # a dict copy does, the rest what the edit touched.
         old = self._gates
-        gates: Dict[str, Gate] = {}
+        gates = dict(old)
         changed: List[Gate] = []
-        for gate in trial.gates():
-            gates[gate.name] = gate
-            if old.get(gate.name) is not gate:
+        removed: List[Gate] = []
+        for name in sorted(edits):
+            if trial.has_net(name):
+                gate = gates[name] = trial.gate(name)
                 changed.append(gate)
-        removed = [gate for name, gate in old.items() if name not in gates]
+            elif name in gates:
+                removed.append(gates.pop(name))
 
         delay = dict(self.delay)
         arrival = dict(self.arrival)
@@ -286,8 +307,10 @@ def timing_state(netlist: Netlist, library: Optional[Library] = None,
     base = compiled.n_prefix
     fanins = compiled.fanins
     order = compiled.order
+    loads = net_loads(netlist, library, overlay)
     for pos, name in enumerate(order):
-        d = gate_delay(netlist, library, name, overlay)
+        cell = cell_of(netlist, library, name)
+        d = _rc_delay(cell, name, loads[name], overlay)
         delay[name] = d
         best = 0.0
         for f in fanins[pos]:

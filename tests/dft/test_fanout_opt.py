@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bench import load_circuit
-from repro.dft import insert_scan, optimize_fanout
+from repro.dft import insert_flh, insert_scan, optimize_fanout
 from repro.dft.fanout_opt import _optimize_one_ff
 from repro.errors import DftError
 from repro.netlist import Netlist, content_hash, first_level_gates, validate
@@ -116,8 +116,30 @@ class TestOptimizeFanout:
         scan = insert_scan(map_netlist(load_circuit("s838")))
         result = optimize_fanout(scan, n_vectors=10)
         assert result.ffs_optimized >= 10
-        # FLH sizing before and after, plus the optimizer's own state.
-        assert len(compiled) == 3
+        # The optimizer's own state; FLH sizing before and after reads
+        # it and its last re-timed successor.
+        assert len(compiled) == 1
+        # Sizing FLH from the re-timed state equals sizing it from a
+        # fresh timing of the optimized netlist.
+        fresh = insert_flh(insert_scan(result.optimized.netlist,
+                                       chain_order=scan.scan_chain))
+        assert result.optimized.flh_gating == fresh.flh_gating
+
+    def test_span_and_counters(self):
+        from repro.obs import Recorder, use_recorder
+
+        scan = insert_scan(map_netlist(load_circuit("s838")))
+        rec = Recorder()
+        with use_recorder(rec):
+            result = optimize_fanout(scan, n_vectors=10)
+        spans = [e for e in rec.events if e["name"] == "fanout.optimize"]
+        assert len(spans) == 1
+        assert spans[0]["ph"] == "X"
+        assert spans[0]["args"]["circuit"] == "s838"
+        accepted = rec.counter("fanout.accepted")
+        rejected = rec.counter("fanout.rejected_delay")
+        assert accepted == result.ffs_optimized
+        assert rec.counter("fanout.candidates") >= accepted + rejected > 0
 
     def test_counts_consistent(self, s838_result):
         scan, result = s838_result

@@ -62,8 +62,8 @@ class TestShiftIn:
 
 class TestShiftPowerStudy:
     def test_isolation_saves_energy(self, s298_designs):
-        study = shift_power_study(
-            s298_designs["scan"], s298_designs["flh"], n_patterns=4
+        (study,) = shift_power_study(
+            s298_designs["scan"], (s298_designs["flh"],), n_patterns=4
         )
         assert study.comb_energy_isolated == 0.0
         assert study.comb_energy_plain > 0.0
@@ -71,11 +71,10 @@ class TestShiftPowerStudy:
 
     def test_enhanced_equally_effective(self, s298_designs):
         """Section IV: FLH is as effective as enhanced scan isolation."""
-        flh = shift_power_study(
-            s298_designs["scan"], s298_designs["flh"], n_patterns=4
-        )
-        enh = shift_power_study(
-            s298_designs["scan"], s298_designs["enhanced"], n_patterns=4
+        flh, enh = shift_power_study(
+            s298_designs["scan"],
+            (s298_designs["flh"], s298_designs["enhanced"]),
+            n_patterns=4,
         )
         assert flh.comb_energy_isolated == enh.comb_energy_isolated == 0.0
         assert flh.saving_fraction == pytest.approx(enh.saving_fraction)
@@ -83,5 +82,5 @@ class TestShiftPowerStudy:
     def test_mismatched_chains_rejected(self, s27_designs, s298_designs):
         with pytest.raises(SimulationError):
             shift_power_study(
-                s27_designs["scan"], s298_designs["flh"], n_patterns=1
+                s27_designs["scan"], (s298_designs["flh"],), n_patterns=1
             )

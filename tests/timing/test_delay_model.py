@@ -1,6 +1,8 @@
 """Tests for the load/delay model."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import units
 from repro.errors import TimingError
@@ -12,7 +14,10 @@ from repro.timing import (
     gate_delay,
     load_on_net,
 )
+from repro.timing.delay_model import net_loads
 from repro.cells import default_library
+
+from .test_incremental import flh_like_overlay, scan_design
 
 
 @pytest.fixture
@@ -55,6 +60,41 @@ class TestLoad:
         overlay = DelayOverlay(extra_load={"g1": 5 * units.FF})
         assert load_on_net(mapped_chain, library, "g1", overlay) == (
             pytest.approx(load_on_net(mapped_chain, library, "g1") + 5 * units.FF)
+        )
+
+
+def assert_sweep_matches(netlist, library, overlay):
+    loads = net_loads(netlist, library, overlay)
+    assert list(loads) == list(netlist.gate_names())
+    for net in netlist.gate_names():
+        assert loads[net] == load_on_net(netlist, library, net, overlay)
+
+
+class TestLoadSweep:
+    """``net_loads`` must equal ``load_on_net`` bit for bit."""
+
+    @given(design=scan_design(), with_overlay=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_generated_designs(self, design, with_overlay):
+        overlay = flh_like_overlay(design) if with_overlay else None
+        assert_sweep_matches(design.netlist, design.library, overlay)
+
+    def test_repeated_pin_and_cell_less_flip_flop(self, library):
+        nand = library.for_func("NAND", 2).name
+        n = Netlist("pins")
+        n.add_input("a")
+        n.add_input("b")
+        n.add("g", "NAND", ("a", "a"), cell=nand)  # a on two pins
+        n.add("h", "NAND", ("b", "a"), cell=nand)
+        n.add("q", "DFF", ("g",))  # no cell: 0.5 fF
+        n.add("y", "NAND", ("q", "h"), cell=nand)
+        n.add_output("y")
+        overlay = DelayOverlay(extra_load={"a": 1.0 * units.FF,
+                                           "g": 2.0 * units.FF})
+        for extra in (None, overlay):
+            assert_sweep_matches(n, library, extra)
+        assert load_on_net(n, library, "g") == (
+            0.5 * units.FF + WIRE_CAP_PER_FANOUT
         )
 
 

@@ -6,7 +6,9 @@ arrival and the critical delay.  The edits are the Section V
 optimizer's own (buffer one flip-flop's fanout, or insert a buffer pair
 and fold inverters) plus the pin rewire they are built from, applied to
 copies that are randomly kept or dropped, as
-:func:`repro.dft.optimize_fanout` does.
+:func:`repro.dft.optimize_fanout` does.  Each edited copy is re-timed
+from its edit record, and the same records are re-timed again as a copy
+of the copy and as a hand-built netlist, which carry no record.
 """
 
 import pytest
@@ -63,6 +65,19 @@ def apply_edit(netlist, library, kind, pick):
             prune_dangling(netlist)
 
 
+def rebuilt(netlist):
+    """A netlist built by hand with ``netlist``'s records."""
+    fresh = Netlist(netlist.name)
+    for net in netlist.inputs:
+        fresh.add_input(net)
+    for gate in netlist.gates():
+        if not gate.is_input:
+            fresh.add_gate(gate)
+    for net in netlist.outputs:
+        fresh.add_output(net)
+    return fresh
+
+
 def run_steps(design, steps, overlay=None):
     """Edit copies step by step, keeping or dropping each; check all."""
     netlist, library = design.netlist, design.library
@@ -71,8 +86,15 @@ def run_steps(design, steps, overlay=None):
         before = (dict(state.delay), dict(state.arrival))
         trial = netlist.copy()
         apply_edit(trial, library, kind, pick)
+        revision = netlist.revision()
+        assert trial.edits_since(revision) is not None
         retimed = state.retimed(trial)
         assert_matches_scratch(retimed)
+        # A copy of the copy and a hand-built twin carry no record
+        # against the timed netlist: both are timed from scratch.
+        for other in (trial.copy(), rebuilt(trial)):
+            assert other.edits_since(revision) is None
+            assert_matches_scratch(state.retimed(other))
         # Re-timing a copy never touches the state it started from.
         assert (state.delay, state.arrival) == before
         if keep:
