@@ -19,8 +19,7 @@ Usage::
     python -m repro lint --all                # every catalog circuit
     python -m repro lint s838 --style flh     # DFT rule pack too
 
-    python -m repro bench --quick             # time the tier-1 kernels
-    python -m repro bench --quick --check-baseline   # CI smoke check
+    python -m repro bench                     # fast kernels vs their oracles
 
     python -m repro atpg s5378                # two-phase fault-dropping ATPG
     python -m repro atpg --all --json         # every catalog circuit, JSON
@@ -40,7 +39,7 @@ Usage::
 
 See ``python -m repro lint --help`` (and ``docs/lint.md``) for rule
 selection, baselines and output formats; ``python -m repro bench
---help`` (and ``docs/performance.md``) for the benchmark harness;
+--help`` (and ``docs/performance.md``) for the kernel bench;
 ``docs/observability.md`` for the ``--trace`` run artifacts.
 """
 
@@ -113,7 +112,7 @@ def main(argv: List[str] | None = None) -> int:
 
         return lint_main(argv[1:])
     if argv and argv[0] == "bench":
-        from .perf import bench_main
+        from .perf.bench import bench_main
 
         return bench_main(argv[1:])
     if argv and argv[0] == "atpg":

@@ -7,7 +7,7 @@ Public surface::
     from repro.fault import collapse_stuck, collapse_transition
     from repro.fault import FaultSimulator, Podem, TransitionAtpg
     from repro.fault import AtpgFlow, run_flow
-    from repro.fault import available_backends, resolve_backend
+    from repro.fault import resolve_backend, select_backend
 """
 
 from .atpg_flow import (
@@ -21,7 +21,6 @@ from .backends import (
     BACKEND_AUTO,
     BACKEND_INT,
     BACKEND_NUMPY,
-    available_backends,
     numpy_available,
     resolve_backend,
     select_backend,
@@ -66,7 +65,6 @@ __all__ = [
     "BACKEND_AUTO",
     "BACKEND_INT",
     "BACKEND_NUMPY",
-    "available_backends",
     "numpy_available",
     "resolve_backend",
     "select_backend",

@@ -33,7 +33,7 @@ at every batch size.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 from ..errors import SimulationError
 
@@ -77,13 +77,6 @@ def numpy_available() -> bool:
         else:
             _NUMPY_AVAILABLE = True
     return _NUMPY_AVAILABLE
-
-
-def available_backends() -> Tuple[str, ...]:
-    """Backends usable in this interpreter, ``"int"`` always first."""
-    if numpy_available():
-        return (BACKEND_INT, BACKEND_NUMPY)
-    return (BACKEND_INT,)
 
 
 def resolve_backend(name: Optional[str]) -> str:

@@ -1,17 +1,17 @@
-"""Performance layer: reference kernels and the benchmark harness.
+"""Reference (pre-compile) simulators: the oracles the fast kernels match.
 
 Public surface::
 
-    from repro.perf import bench_main               # python -m repro bench
     from repro.perf import ReferenceFaultSimulator  # pre-compile baseline
+    from repro.perf import ReferenceLogicSimulator
+
+``python -m repro bench`` (:mod:`repro.perf.bench`) times each fast
+kernel against its oracle; only that verb imports it.
 """
 
-from .bench import bench_main, run_bench
 from .reference import ReferenceFaultSimulator, ReferenceLogicSimulator
 
 __all__ = [
     "ReferenceFaultSimulator",
     "ReferenceLogicSimulator",
-    "bench_main",
-    "run_bench",
 ]

@@ -6,8 +6,8 @@ flat-array compile pass, kept verbatim in behaviour for two jobs:
 * **equivalence testing** -- the compiled kernels must produce
   bit-identical packed words and detection masks on every circuit
   (``tests/fault/test_fsim_equivalence.py``);
-* **benchmarking** -- ``python -m repro bench`` times compiled vs.
-  reference stuck-at fault simulation and records the speedup.
+* **benchmarking** -- ``python -m repro bench`` times the compiled
+  stuck-at fault simulator and three-valued kernel against them.
 
 They are deliberately *not* exported from ``repro.fault`` /
 ``repro.power``; production code should use the compiled simulators.

@@ -16,8 +16,6 @@ from repro.errors import SimulationError
 from repro.fault import (
     FaultSimulator,
     StuckFault,
-    available_backends,
-    numpy_available,
     resolve_backend,
     select_backend,
 )
@@ -65,14 +63,6 @@ class TestResolve:
     def test_explicit_numpy_without_numpy_raises(self, no_numpy):
         with pytest.raises(SimulationError, match="numpy is not"):
             resolve_backend("numpy")
-
-    def test_available_backends_lists_int_first(self):
-        listed = available_backends()
-        assert listed[0] == "int"
-        assert ("numpy" in listed) == numpy_available()
-
-    def test_available_backends_without_numpy(self, no_numpy):
-        assert available_backends() == ("int",)
 
 
 class TestSelect:

@@ -117,6 +117,13 @@ class TestUsableCores:
         self._pin_affinity(monkeypatch, 6)
         assert usable_cores(str(tmp_path / "nope")) == 6
 
+    def test_falls_back_to_cpu_count(self, tmp_path, monkeypatch):
+        """Without ``sched_getaffinity`` (non-Linux) the CPU count is
+        the affinity."""
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert usable_cores(str(tmp_path / "nope")) == 6
+
     def test_quota_above_affinity_does_not_raise_count(
             self, tmp_path, monkeypatch):
         (tmp_path / "cpu.max").write_text("1600000 100000\n")

@@ -1,195 +1,190 @@
-"""Tests for the benchmark harness plumbing (no heavy kernel runs)."""
+"""Tests for the bench runner: fake kernels on a fake clock.
+
+Nothing here sleeps, runs a real kernel or imports numpy (the no-numpy
+CI job runs this file).
+"""
 
 import json
+import os
+import subprocess
+import sys
+from contextlib import contextmanager
 
 import pytest
 
-from repro.perf.bench import check_against_baseline, render_report
+import repro
+from repro.perf import bench
+from repro.perf.bench import MIN_ORACLE_SECONDS, MIN_PAIRS, Kernel, run_kernel
 
 
-@pytest.fixture
-def report():
+class FakeKernel:
+    """Fast and oracle sides that advance a fake clock by set durations.
+
+    ``fast_s``/``oracle_s`` give the n-th call's duration (the last one
+    repeats); every call and every check is logged in ``calls``.
+    """
+
+    def __init__(self, fast_s, oracle_s, floor=2.0, min_cores=1,
+                 mismatch_at=None):
+        self.now = 0.0
+        self.fast_s = list(fast_s)
+        self.oracle_s = list(oracle_s)
+        self.calls = []
+        self.entered = self.exited = 0
+        self.mismatch_at = mismatch_at
+        self.kernel = Kernel("fake", self.setup, self.fast, self.oracle,
+                             self.check, floor=floor, min_cores=min_cores)
+
+    def clock(self):
+        return self.now
+
+    @contextmanager
+    def setup(self):
+        self.entered += 1
+        try:
+            yield "state"
+        finally:
+            self.exited += 1
+
+    def _call(self, side, durations):
+        n = sum(1 for c in self.calls if c == side)
+        self.calls.append(side)
+        self.now += durations[min(n, len(durations) - 1)]
+        return (side, n)
+
+    def fast(self, state):
+        assert state == "state"
+        return self._call("fast", self.fast_s)
+
+    def oracle(self, state):
+        return self._call("oracle", self.oracle_s)
+
+    def check(self, state, fast, oracle):
+        self.calls.append("check")
+        assert fast == ("fast", oracle[1]) and oracle[0] == "oracle"
+        if oracle[1] == self.mismatch_at:
+            return "masks differ"
+        return None
+
+    def run(self, cores=8):
+        return run_kernel(self.kernel, cores, clock=self.clock)
+
+
+def test_pairs_alternate_their_order():
+    fake = FakeKernel([0.01], [0.3])
+    row = fake.run()
+    assert row["pairs"] == MIN_PAIRS
+    timed = [c for c in fake.calls if c != "check"]
+    assert timed == ["fast", "oracle", "oracle", "fast"] * 2 + [
+        "fast", "oracle"]
+    assert fake.calls.count("check") == MIN_PAIRS
+    assert fake.entered == fake.exited == 1
+
+
+def test_pairs_until_the_oracle_has_its_measured_time():
+    # Powers of two keep the fake clock's sums exact.
+    fake = FakeKernel([2 ** -10], [MIN_ORACLE_SECONDS / 16])
+    row = fake.run()
+    assert row["pairs"] == 16
+    assert row["oracle_s"] * row["pairs"] == MIN_ORACLE_SECONDS
+
+
+def test_median_and_quartiles_of_the_paired_ratio():
+    fake = FakeKernel([1.0, 1.0, 2.0, 1.0, 1.0], [2.0, 4.0, 12.0, 8.0, 10.0])
+    row = fake.run()
+    assert row["pairs"] == 5
+    assert (row["ratio_q1"], row["ratio"], row["ratio_q3"]) == (4.0, 6.0, 8.0)
+    assert row["fast_s"] == 1.0
+    assert row["oracle_s"] == 8.0
+
+
+def test_one_outlier_pair_does_not_fail_a_kernel():
+    fake = FakeKernel([0.1, 0.1, 0.1, 0.1, 2.0], [1.0], floor=5.0)
+    row = fake.run()
+    assert row["ratio"] == pytest.approx(10.0)
+    assert row["verdict"] == "ok"
+
+
+def test_upper_quartile_below_the_floor_fails():
+    fake = FakeKernel([1.0], [1.0, 2.0, 3.0, 4.0, 4.5], floor=5.0)
+    row = fake.run()
+    assert row["ratio_q3"] == 4.0
+    assert row["kernel"] == "fake"
+    assert row["verdict"] == "FAIL"
+    assert "4.00x < floor 5x" in row["note"]
+
+
+def test_three_times_slower_fast_side_fails():
+    """A floor of a third of the median catches a 3x slowdown: the
+    jittered ratios read 10x around their median, the floor 4x."""
+    oracle_s = [1.0, 1.1, 0.9, 1.05, 0.95]
+    assert FakeKernel([0.1], oracle_s, floor=4.0).run()["verdict"] == "ok"
+    slow = FakeKernel([0.3], oracle_s, floor=4.0).run()
+    assert slow["verdict"] == "FAIL"
+    assert slow["ratio_q3"] < 4.0
+
+
+def test_too_few_cores_waive_the_floor_but_not_the_check():
+    fake = FakeKernel([1.0], [1.0], floor=2.5, min_cores=4)
+    row = fake.run(cores=2)
+    assert row["verdict"] == "waived"
+    assert row["note"] == "floor waived: 2 usable core(s) < 4"
+    assert fake.calls.count("check") == row["pairs"]
+
+    mismatch = FakeKernel([1.0], [1.0], min_cores=4, mismatch_at=1)
+    with pytest.raises(AssertionError, match="fake"):
+        mismatch.run(cores=2)
+
+
+def test_identity_mismatch_raises_naming_the_kernel():
+    fake = FakeKernel([0.01], [0.3], mismatch_at=2)
+    with pytest.raises(AssertionError,
+                       match=r"^fake: pair 3: masks differ$"):
+        fake.run()
+    assert fake.calls.count("check") == 3
+    assert fake.exited == 1
+
+
+def _report(verdict):
     return {
-        "schema": 1,
-        "date": "2026-01-01",
-        "quick": True,
-        "python": "3.11",
-        "platform": "test",
-        "kernels": [
-            {"kernel": "logicsim_sequential", "circuit": "s5378",
-             "n": 50, "seconds": 0.10},
-            {"kernel": "fsim_stuck_compiled", "circuit": "s38584",
-             "n": 259, "seconds": 0.30},
-            {"kernel": "fsim_stuck_reference", "circuit": "s38584",
-             "n": 259, "seconds": 1.50, "compare_only": True},
-            {"kernel": "fsim_stuck_speedup", "circuit": "s38584",
-             "n": 259, "seconds": None, "speedup": 5.0,
-             "identical_masks": True},
-        ],
+        "schema": 2, "date": "2026-01-01", "python": "3.11",
+        "platform": "test", "usable_cores": 2,
+        "kernels": [{
+            "kernel": "fake", "pairs": 5, "fast_s": 0.1, "oracle_s": 1.0,
+            "ratio": 10.0, "ratio_q1": 9.0, "ratio_q3": 11.0, "floor": 12.0,
+            "min_cores": 1, "verdict": verdict,
+            "note": "upper-quartile ratio 11.00x < floor 12x"
+            if verdict == "FAIL" else "",
+        }],
     }
 
 
-def _write_baseline(tmp_path, report):
-    path = tmp_path / "baseline.json"
-    path.write_text(json.dumps(report))
-    return str(path)
+def test_render_report():
+    text = bench.render_report(_report("FAIL"))
+    assert "2 usable core(s)" in text
+    assert "fake" in text and "10.00x" in text and "12x" in text
+    assert "FAIL (upper-quartile ratio 11.00x < floor 12x)" in text
 
 
-class TestCheckAgainstBaseline:
-    def test_identical_run_passes(self, tmp_path, report):
-        path = _write_baseline(tmp_path, report)
-        assert check_against_baseline(report, path) == []
+def test_cli_exits_1_naming_the_failed_kernel(monkeypatch, capsys,
+                                              tmp_path):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(bench, "run_bench", lambda kernels: _report("FAIL"))
+    assert bench.bench_main([]) == 1
+    assert "FAIL fake: upper-quartile" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []   # JSON only with --output
 
-    def test_small_drift_tolerated(self, tmp_path, report):
-        path = _write_baseline(tmp_path, report)
-        current = json.loads(json.dumps(report))
-        current["kernels"][0]["seconds"] = 0.19  # 1.9x: under threshold
-        assert check_against_baseline(current, path) == []
-
-    def test_regression_over_threshold_fails(self, tmp_path, report):
-        path = _write_baseline(tmp_path, report)
-        current = json.loads(json.dumps(report))
-        current["kernels"][0]["seconds"] = 0.25  # 2.5x the baseline
-        failures = check_against_baseline(current, path)
-        assert len(failures) == 1
-        assert "logicsim_sequential" in failures[0]
-
-    def test_reference_kernel_exempt(self, tmp_path, report):
-        """The reference simulator is compare-only: it being slow is
-        the point, not a regression."""
-        path = _write_baseline(tmp_path, report)
-        current = json.loads(json.dumps(report))
-        current["kernels"][2]["seconds"] = 99.0
-        assert check_against_baseline(current, path) == []
-
-    def test_speedup_floor_enforced(self, tmp_path, report):
-        path = _write_baseline(tmp_path, report)
-        current = json.loads(json.dumps(report))
-        current["kernels"][3]["speedup"] = 1.2
-        failures = check_against_baseline(current, path)
-        assert len(failures) == 1
-        assert "speedup" in failures[0]
-
-    def test_missing_baseline_reported(self, tmp_path, report):
-        failures = check_against_baseline(
-            report, str(tmp_path / "nope.json")
-        )
-        assert failures and "not found" in failures[0]
-
-    def test_row_level_floor_overrides_harness_floor(self, tmp_path,
-                                                     report):
-        """A speedup row carrying its own ``min_speedup`` is judged
-        against that, not the harness-wide default."""
-        path = _write_baseline(tmp_path, report)
-        current = json.loads(json.dumps(report))
-        current["kernels"].append(
-            {"kernel": "fsim_stuck_sharded_speedup", "circuit": "s38584",
-             "n": 100, "seconds": None, "speedup": 3.0,
-             "min_speedup": 4.0}
-        )
-        failures = check_against_baseline(current, path)
-        assert len(failures) == 1
-        assert "fsim_stuck_sharded_speedup" in failures[0]
-        assert "4.0x" in failures[0]
-
-    def test_zero_floor_waives_speedup_check(self, tmp_path, report):
-        """min_speedup 0.0 (host with too few cores for the sharded
-        pool) records the measured ratio without failing the check."""
-        path = _write_baseline(tmp_path, report)
-        current = json.loads(json.dumps(report))
-        current["kernels"].append(
-            {"kernel": "fsim_stuck_sharded_speedup", "circuit": "s38584",
-             "n": 100, "seconds": None, "speedup": 0.7,
-             "min_speedup": 0.0, "usable_cores": 1}
-        )
-        assert check_against_baseline(current, path) == []
-
-    def test_new_kernel_without_baseline_entry_passes(self, tmp_path,
-                                                      report):
-        path = _write_baseline(tmp_path, report)
-        current = json.loads(json.dumps(report))
-        current["kernels"].append(
-            {"kernel": "brand_new", "circuit": "s27", "n": 1,
-             "seconds": 42.0}
-        )
-        assert check_against_baseline(current, path) == []
+    monkeypatch.setattr(bench, "run_bench", lambda kernels: _report("ok"))
+    output = tmp_path / "bench.json"
+    assert bench.bench_main(["--output", str(output)]) == 0
+    assert json.loads(output.read_text())["kernels"][0]["verdict"] == "ok"
 
 
-def test_render_report(report):
-    text = render_report(report)
-    assert "logicsim_sequential" in text
-    assert "speedup 5.00x" in text
-    assert "2026-01-01" in text
-
-
-def test_render_report_prefers_row_note(report):
-    report["kernels"].append(
-        {"kernel": "fsim_stuck_sharded_speedup", "circuit": "s38584",
-         "n": 100, "seconds": None, "speedup": 0.7, "min_speedup": 0.0,
-         "note": "speedup 0.70x (floor waived: 1 usable core(s) < 4 "
-                 "workers), identical masks"}
-    )
-    text = render_report(report)
-    assert "floor waived" in text
-    assert "speedup 0.70x" in text
-
-
-def test_usable_cores_positive():
-    from repro.perf.bench import _usable_cores
-
-    assert _usable_cores() >= 1
-
-
-class TestUsableCores:
-    """``_usable_cores`` must honor the scheduler affinity mask, not the
-    raw host core count (cgroup-restricted CI runners).  The cgroup
-    CPU-quota clamp has its own tests in
-    ``tests/fault/test_parallel_podem.py``; here it is neutralized so
-    the affinity behavior is isolated from the host's real cgroup."""
-
-    def test_prefers_affinity_mask(self, monkeypatch):
-        import os
-
-        from repro.fault import sharded
-        from repro.perf import bench
-
-        monkeypatch.setattr(sharded, "_cpu_quota_cores",
-                            lambda cgroup_root="": None)
-        monkeypatch.setattr(
-            os, "sched_getaffinity", lambda pid: {0, 2}, raising=False
-        )
-        monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        assert bench._usable_cores() == 2
-
-    def test_falls_back_to_cpu_count(self, monkeypatch):
-        import os
-
-        from repro.fault import sharded
-        from repro.perf import bench
-
-        monkeypatch.setattr(sharded, "_cpu_quota_cores",
-                            lambda cgroup_root="": None)
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 6)
-        assert bench._usable_cores() == 6
-
-
-class TestNumpyBenchWaiver:
-    def test_waived_row_without_numpy(self, monkeypatch, tmp_path, report):
-        """Without numpy the kernel emits one zero-floor row that the
-        baseline check accepts (nothing to compare, nothing to fail)."""
-        import repro.fault.backends as backends
-        from repro.perf.bench import bench_fsim_numpy
-
-        monkeypatch.setattr(backends, "_NUMPY_AVAILABLE", False)
-        rows = bench_fsim_numpy(quick=True)
-        assert len(rows) == 1
-        row = rows[0]
-        assert row["kernel"] == "fsim_numpy_speedup"
-        assert row["min_speedup"] == 0.0
-        assert "waived" in row["note"]
-
-        path = _write_baseline(tmp_path, report)
-        current = json.loads(json.dumps(report))
-        current["kernels"].extend(rows)
-        assert check_against_baseline(current, path) == []
+def test_reference_oracles_load_neither_the_harness_nor_numpy():
+    code = ("import sys, repro.perf.reference; "
+            "print('repro.perf.bench' in sys.modules, 'numpy' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.split() == ["False", "False"]

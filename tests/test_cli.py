@@ -1,5 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import re
+
 import pytest
 
 from repro.__main__ import EXPERIMENTS, QUICK, main
@@ -65,4 +67,5 @@ def test_bench_help_available(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["bench", "--help"])
     assert excinfo.value.code == 0
-    assert "--check-baseline" in capsys.readouterr().out
+    flags = re.findall(r"(?<![\w-])--?[a-z][a-z-]*", capsys.readouterr().out)
+    assert set(flags) == {"-h", "--help", "--output", "--trace"}
