@@ -16,10 +16,8 @@ electrical parameters (delay, area, power) model the real element.
 
 from __future__ import annotations
 
-from typing import List
-
 from ..errors import DftError
-from .styles import DftDesign
+from .styles import DftDesign, _insert_hold_elements
 
 
 def insert_enhanced_scan(design: DftDesign,
@@ -44,29 +42,6 @@ def insert_enhanced_scan(design: DftDesign,
             f"enhanced scan must start from a plain scan design, got "
             f"{design.style!r}"
         )
-    library = design.library
-    cell = library.cell(f"HOLD_LATCH_X{drive:g}")
-    netlist = design.netlist.copy(design.netlist.name)
-    hold_elements: List[str] = []
-    protected = set(netlist.outputs)
-    for ff in design.scan_chain:
-        hold_net = netlist.fresh_net(f"{ff}_hold")
-        sinks = netlist.fanout(ff)
-        netlist.add(hold_net, "BUF", (ff,), cell=cell.name)
-        netlist.redirect_fanout(ff, hold_net, only=sinks)
-        # A flip-flop output that is also a primary output keeps its
-        # direct connection; the latch only guards the logic inputs.
-        hold_elements.append(hold_net)
-    enhanced = DftDesign(
-        netlist=netlist,
-        style="enhanced",
-        library=library,
-        scan_chain=design.scan_chain,
-        hold_elements=tuple(hold_elements),
-        held_flip_flops=design.scan_chain,
-    )
-    # Post-transform self-check: every flip-flop must be isolated
-    # behind its hold latch and the chain must stay intact.
-    from ..lint import self_check
-    self_check(enhanced)
-    return enhanced
+    cell = design.library.cell(f"HOLD_LATCH_X{drive:g}")
+    return _insert_hold_elements(design, "enhanced", cell.name, "hold",
+                                 design.scan_chain)

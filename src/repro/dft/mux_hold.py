@@ -13,10 +13,8 @@ electrical character.
 
 from __future__ import annotations
 
-from typing import List
-
 from ..errors import DftError
-from .styles import DftDesign
+from .styles import DftDesign, _insert_hold_elements
 
 
 def insert_mux_hold(design: DftDesign, drive: float = 2.0) -> DftDesign:
@@ -30,25 +28,6 @@ def insert_mux_hold(design: DftDesign, drive: float = 2.0) -> DftDesign:
             f"MUX holding must start from a plain scan design, got "
             f"{design.style!r}"
         )
-    library = design.library
-    cell = library.cell(f"MUX2_X{drive:g}")
-    netlist = design.netlist.copy(design.netlist.name)
-    hold_elements: List[str] = []
-    for ff in design.scan_chain:
-        mux_net = netlist.fresh_net(f"{ff}_mux")
-        sinks = netlist.fanout(ff)
-        netlist.add(mux_net, "BUF", (ff,), cell=cell.name)
-        netlist.redirect_fanout(ff, mux_net, only=sinks)
-        hold_elements.append(mux_net)
-    held = DftDesign(
-        netlist=netlist,
-        style="mux",
-        library=library,
-        scan_chain=design.scan_chain,
-        hold_elements=tuple(hold_elements),
-        held_flip_flops=design.scan_chain,
-    )
-    # Post-transform self-check, as in the enhanced-scan transform.
-    from ..lint import self_check
-    self_check(held)
-    return held
+    cell = design.library.cell(f"MUX2_X{drive:g}")
+    return _insert_hold_elements(design, "mux", cell.name, "mux",
+                                 design.scan_chain)

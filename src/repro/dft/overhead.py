@@ -4,6 +4,13 @@ These helpers produce exactly the quantities of the paper's Tables I-III:
 percentage increase of area (total transistor active area), critical-path
 delay, and normal-mode power of each holding scheme over the plain
 full-scan baseline.
+
+The comparisons analyse the scan design once.  An enhanced-scan or
+MUX-hold design built from it is the scan netlist plus one transparent
+``BUF`` per held flip-flop (see ``_insert_hold_elements``), so it is
+re-timed as those edits and takes the scan design's switching activity;
+any other design is timed and simulated on its own.  Either way the
+numbers equal :func:`design_delay` and :func:`design_power` exactly.
 """
 
 from __future__ import annotations
@@ -15,9 +22,10 @@ from .. import units
 from ..cells import Library, default_library
 from ..errors import DftError
 from ..netlist import Netlist
+from ..obs import get_recorder
 from ..power import PowerReport, analyze_power, switching_activity
 from ..synth import map_netlist
-from ..timing import analyze
+from ..timing import critical_delay, timing_state
 from .enhanced_scan import insert_enhanced_scan
 from .flh import (
     FlhConfig,
@@ -77,7 +85,7 @@ def area_breakdown(design: DftDesign) -> Dict[str, float]:
 def design_delay(design: DftDesign) -> float:
     """Critical-path delay of the design, seconds."""
     overlay = flh_delay_overlay(design) if design.style == "flh" else None
-    return analyze(design.netlist, design.library, overlay).critical_delay
+    return critical_delay(design.netlist, design.library, overlay)
 
 
 def design_power(design: DftDesign, n_vectors: int = 100,
@@ -186,17 +194,89 @@ def compare_area(designs: Mapping[str, DftDesign]) -> OverheadComparison:
     )
 
 
+def _holds_scan(scan: DftDesign, design: DftDesign) -> bool:
+    """True when ``design`` is ``scan``'s netlist plus transparent holds.
+
+    That is: its netlist is a copy of the scan netlist at its current
+    revision; it shares the scan design's library; every hold element
+    is a new ``BUF`` whose only fanin is its own held flip-flop; and
+    every other edited gate is the scan gate with those flip-flops
+    swapped for their hold elements.  Then every net keeps its scan
+    waveform and each hold element carries its flip-flop's.
+    """
+    netlist, base = design.netlist, scan.netlist
+    if netlist is base or design.library is not scan.library:
+        return False
+    edits = netlist.edits_since(base.revision())
+    if edits is None or (len(design.hold_elements)
+                         != len(design.held_flip_flops)):
+        return False
+    swap: Dict[str, str] = {}
+    for hold, ff in zip(design.hold_elements, design.held_flip_flops):
+        if base.has_net(hold) or not netlist.has_net(hold):
+            return False
+        gate = netlist.gate(hold)
+        if gate.func != "BUF" or gate.fanin != (ff,) or not base.has_net(ff):
+            return False
+        swap[ff] = hold
+    holds = set(design.hold_elements)
+    for name in edits - holds:
+        if not (netlist.has_net(name) and base.has_net(name)):
+            return False
+        gate = base.gate(name)
+        if netlist.gate(name) != gate.with_fanin(
+                swap.get(net, net) for net in gate.fanin):
+            return False
+    return True
+
+
+def _hold_activity(scan: DftDesign, design: DftDesign,
+                   activity: Mapping[str, float],
+                   ) -> Optional[Dict[str, float]]:
+    """``design``'s switching activity from the scan design's, or None.
+
+    ``activity`` is ``switching_activity(scan.netlist, ...)``.  When
+    :func:`_holds_scan` holds, the result equals
+    ``switching_activity(design.netlist, ...)`` with the same arguments.
+    """
+    if not _holds_scan(scan, design):
+        return None
+    derived = dict(activity)
+    for hold, ff in zip(design.hold_elements, design.held_flip_flops):
+        derived[hold] = activity[ff]
+    return derived
+
+
 def compare_delay(designs: Mapping[str, DftDesign]) -> OverheadComparison:
-    """Table II row: percentage critical-path delay increase per style."""
-    base = design_delay(designs["scan"])
-    return OverheadComparison(
-        circuit=designs["scan"].name,
+    """Table II row: percentage critical-path delay increase per style.
+
+    The scan design is timed once; the enhanced and MUX designs are
+    re-timed from it as its edits (:meth:`TimingState.retimed`, exact),
+    and their count goes to the ``sta.retimed`` counter.  FLH keeps its
+    overlay timing.
+    """
+    scan = designs["scan"]
+    timing = timing_state(scan.netlist, scan.library)
+    retimed = 0
+
+    def delay(design: DftDesign) -> float:
+        nonlocal retimed
+        if not _holds_scan(scan, design):
+            return design_delay(design)
+        retimed += 1
+        return timing.retimed(design.netlist).critical_delay
+
+    base = timing.critical_delay
+    comparison = OverheadComparison(
+        circuit=scan.name,
         metric="delay",
         baseline=base,
-        enhanced_pct=_pct(design_delay(designs["enhanced"]), base),
-        mux_pct=_pct(design_delay(designs["mux"]), base),
+        enhanced_pct=_pct(delay(designs["enhanced"]), base),
+        mux_pct=_pct(delay(designs["mux"]), base),
         flh_pct=_pct(design_delay(designs["flh"]), base),
     )
+    get_recorder().incr("sta.retimed", retimed)
+    return comparison
 
 
 def compare_power(designs: Mapping[str, DftDesign],
@@ -204,20 +284,28 @@ def compare_power(designs: Mapping[str, DftDesign],
                   ) -> OverheadComparison:
     """Table III row: percentage normal-mode power increase per style.
 
-    ``insert_flh`` adds no gates, so the FLH design shares the scan
-    design's netlist object and, with it, the scan design's switching
-    activity: that simulation runs once.
+    The switching-activity simulation runs once, on the scan netlist.
+    ``insert_flh`` adds no gates, so the FLH design shares that netlist
+    and its activity.  The enhanced and MUX designs take it too, each
+    hold element with its flip-flop's activity; their count goes to the
+    ``power.activity_shared`` counter.
     """
     scan = designs["scan"]
     activity = switching_activity(scan.netlist, n_vectors, seed)
+    shared = 0
 
     def power(design: DftDesign) -> float:
-        shared = activity if design.netlist is scan.netlist else None
-        return _design_power(design, n_vectors, seed,
-                             activity=shared).total
+        nonlocal shared
+        if design.netlist is scan.netlist:
+            own: Optional[Mapping[str, float]] = activity
+        else:
+            own = _hold_activity(scan, design, activity)
+            if own is not None:
+                shared += 1
+        return _design_power(design, n_vectors, seed, activity=own).total
 
     base = power(scan)
-    return OverheadComparison(
+    comparison = OverheadComparison(
         circuit=scan.name,
         metric="power",
         baseline=base,
@@ -225,3 +313,5 @@ def compare_power(designs: Mapping[str, DftDesign],
         mux_pct=_pct(power(designs["mux"]), base),
         flh_pct=_pct(power(designs["flh"]), base),
     )
+    get_recorder().incr("power.activity_shared", shared)
+    return comparison

@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence
 
 from ..errors import DftError
 from ..netlist import fanout_cone
-from .styles import DftDesign
+from .styles import DftDesign, _insert_hold_elements
 
 
 def rank_flip_flops(design: DftDesign) -> List[str]:
@@ -73,30 +73,8 @@ def insert_partial_enhanced(design: DftDesign, fraction: float = 0.5,
     if unknown:
         raise DftError(f"not scan flip-flops: {sorted(unknown)}")
 
-    library = design.library
-    cell = library.cell(f"HOLD_LATCH_X{drive:g}")
-    netlist = design.netlist.copy(design.netlist.name)
-    hold_elements: List[str] = []
-    held_in_order: List[str] = []
-    for ff in design.scan_chain:
-        if ff not in held_set:
-            continue
-        hold_net = netlist.fresh_net(f"{ff}_hold")
-        sinks = netlist.fanout(ff)
-        netlist.add(hold_net, "BUF", (ff,), cell=cell.name)
-        netlist.redirect_fanout(ff, hold_net, only=sinks)
-        hold_elements.append(hold_net)
-        held_in_order.append(ff)
-    partial = DftDesign(
-        netlist=netlist,
-        style="enhanced",
-        library=library,
-        scan_chain=design.scan_chain,
-        hold_elements=tuple(hold_elements),
-        held_flip_flops=tuple(held_in_order),
+    cell = design.library.cell(f"HOLD_LATCH_X{drive:g}")
+    return _insert_hold_elements(
+        design, "enhanced", cell.name, "hold",
+        tuple(ff for ff in design.scan_chain if ff in held_set),
     )
-    # Post-transform self-check: held subset consistent with the chain,
-    # each held flip-flop isolated behind its latch.
-    from ..lint import self_check
-    self_check(partial)
-    return partial

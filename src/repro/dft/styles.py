@@ -22,7 +22,7 @@ The three holding styles the paper compares:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 from ..cells import Library, default_library
 from ..netlist import Netlist
@@ -113,3 +113,49 @@ class DftDesign:
             f"{self.name} [{self.style}]: "
             f"{self.n_scan_cells} scan cells{extras}"
         )
+
+
+def _insert_hold_elements(design: DftDesign, style: str, cell: str,
+                          suffix: str, held: Tuple[str, ...]) -> DftDesign:
+    """A copy of scan ``design`` with a hold element behind each of ``held``.
+
+    The holding transforms (enhanced scan, MUX-hold, partial enhanced
+    scan) differ only in the arguments: ``held`` lists the flip-flops in
+    chain order, and each gets a new ``BUF`` gate named
+    ``<flip-flop>_<suffix>`` (made unique), bound to ``cell``, whose only
+    fanin is that flip-flop and which takes over every gate sink the
+    flip-flop had.  A flip-flop output that is also a primary output
+    keeps its direct connection; the element only guards the logic
+    inputs.  The result passes the DFT lint pack's self-check.
+
+    Invariant: the netlist is a copy of the scan netlist whose only
+    edits are these elements and their redirected sinks
+    (:meth:`~repro.netlist.Netlist.edits_since`).  An element is
+    transparent in normal mode, so it toggles exactly when its
+    flip-flop does and every other net keeps its scan-design waveform.
+    :func:`~repro.dft.overhead.compare_power` relies on this to give
+    each element its flip-flop's switching activity from the one scan
+    run, and :func:`~repro.dft.overhead.compare_delay` to re-time the
+    copy from the scan timing.
+    """
+    netlist = design.netlist.copy(design.netlist.name)
+    hold_elements: List[str] = []
+    for ff in held:
+        hold_net = netlist.fresh_net(f"{ff}_{suffix}")
+        sinks = netlist.fanout(ff)
+        netlist.add(hold_net, "BUF", (ff,), cell=cell)
+        netlist.redirect_fanout(ff, hold_net, only=sinks)
+        hold_elements.append(hold_net)
+    result = DftDesign(
+        netlist=netlist,
+        style=style,
+        library=design.library,
+        scan_chain=design.scan_chain,
+        hold_elements=tuple(hold_elements),
+        held_flip_flops=held,
+    )
+    # Post-transform self-check: each held flip-flop isolated behind
+    # its element, the held subset consistent with the intact chain.
+    from ..lint import self_check
+    self_check(result)
+    return result
