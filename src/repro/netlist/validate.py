@@ -23,14 +23,18 @@ from .netlist import Netlist
 def validation_issues(netlist: Netlist) -> List[str]:
     """Return a list of human-readable structural problems (empty = OK).
 
-    Runs the structural lint pack and renders the error-severity
+    Runs the structural lint pack's error rules and renders their
     findings as bare messages.  Warnings (fanout limits, unreachable
     logic) are advisory and not included -- :func:`validate` must stay
-    permissive on designs that are merely suspicious.
+    permissive on designs that are merely suspicious.  No structural
+    rule reports at other than its own severity, so the warning rules
+    are not run at all.
     """
-    from ..lint import lint_netlist
+    from ..lint import LintContext, LintEngine, Severity, rules_by_category
 
-    report = lint_netlist(netlist, enable=["structural"])
+    rules = [rule for rule in rules_by_category("structural")
+             if rule.severity is Severity.ERROR]
+    report = LintEngine(rules=rules).run(LintContext(netlist=netlist))
     return [diag.message for diag in report.errors]
 
 

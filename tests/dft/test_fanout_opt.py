@@ -1,14 +1,20 @@
 """Tests for the Section V fanout optimization."""
 
+import dataclasses
+
 import pytest
 
 from repro.bench import load_circuit
-from repro.dft import insert_flh, insert_scan, optimize_fanout
-from repro.dft.fanout_opt import _optimize_one_ff
+from repro.dft import fanout_opt, insert_flh, insert_scan, optimize_fanout
+from repro.dft.fanout_opt import (
+    _buffered_activity,
+    _optimize_one_ff,
+    combinational_power,
+)
 from repro.errors import DftError
 from repro.netlist import Netlist, content_hash, first_level_gates, validate
 from repro.perf.reference import ReferenceLogicSimulator
-from repro.power import LogicSimulator
+from repro.power import LogicSimulator, switching_activity
 from repro.synth import map_netlist
 from repro.timing import critical_delay
 
@@ -32,6 +38,12 @@ def s838_result():
     """s838 is the paper's high-fanout example; optimize it once."""
     scan = insert_scan(map_netlist(load_circuit("s838")))
     return scan, optimize_fanout(scan, n_vectors=30)
+
+
+def _assert_activity_derived(before, after):
+    """The activity read off ``before``'s run equals ``after``'s own."""
+    derived = _buffered_activity(before, after, switching_activity(before, 30))
+    assert derived == switching_activity(after, 30)
 
 
 class TestOptimizeFanout:
@@ -88,6 +100,19 @@ class TestOptimizeFanout:
             ):
                 assert va[a] == vb[b]
 
+    @pytest.mark.parametrize("circuit", ["s641", "s838", "s1423"])
+    def test_activity_read_off_the_scan_run(self, circuit, s838_result):
+        if circuit == "s838":
+            scan, result = s838_result
+        else:
+            scan = insert_scan(map_netlist(load_circuit(circuit)))
+            result = optimize_fanout(scan, n_vectors=30)
+        assert result.ffs_optimized > 0
+        _assert_activity_derived(scan.netlist, result.optimized.netlist)
+        assert result.comb_power_after == combinational_power(
+            result.optimized, 30
+        )
+
     def test_comb_power_comparable(self, s838_result):
         _, result = s838_result
         # Paper: "The power in normal mode remains comparable."
@@ -136,6 +161,9 @@ class TestOptimizeFanout:
         assert len(spans) == 1
         assert spans[0]["ph"] == "X"
         assert spans[0]["args"]["circuit"] == "s838"
+        # One activity run prices both the scan and the buffered design.
+        assert [e["name"] for e in rec.events].count("power.activity") == 1
+        assert rec.counter("power.activity_shared") == 1
         accepted = rec.counter("fanout.accepted")
         rejected = rec.counter("fanout.rejected_delay")
         assert accepted == result.ffs_optimized
@@ -184,6 +212,7 @@ class TestInverterReuse:
         added = _optimize_one_ff(after, "q", library)
         validate(after)
         assert self._observed(after) == self._observed(before)
+        _assert_activity_derived(before, after)
         # nq is not reused: the optimizer buffers q with a fresh pair.
         assert added == 2
 
@@ -206,6 +235,54 @@ class TestInverterReuse:
         validate(after)
         assert "n2" not in after
         assert self._observed(after) == self._observed(before)
+        _assert_activity_derived(before, after)
+
+
+def _nand_to_and(netlist, ff):
+    """Turn the first NAND gate into an AND."""
+    gate = next(g for g in sorted(netlist.gates(), key=lambda g: g.name)
+                if g.func == "NAND")
+    netlist.replace_gate(dataclasses.replace(gate, func="AND"))
+    return True
+
+
+def _reader_to_opposite_polarity(netlist, ff):
+    """Move one reader of ``ff``'s re-inverted net onto ``NOT(ff)``."""
+    for inv in sorted(netlist.fanout(ff)):
+        if netlist.gate(inv).func != "NOT":
+            continue
+        for again in sorted(netlist.fanout(inv)):
+            if netlist.gate(again).func != "NOT":
+                continue
+            for reader in sorted(netlist.fanout(again)):
+                if netlist.gate(reader).func not in ("NOT", "BUF"):
+                    netlist.redirect_fanout(again, inv, only={reader})
+                    return True
+    return False
+
+
+class TestBufferedActivityProof:
+    @pytest.mark.parametrize(
+        "mutate", [_nand_to_and, _reader_to_opposite_polarity]
+    )
+    def test_mutated_optimizer_raises(self, monkeypatch, mutate):
+        # Only the first edit that admits the mutation carries it (s838
+        # accepts that trial), so the optimized netlist differs from a
+        # correct one by that single change.
+        real = _optimize_one_ff
+        mutated = []
+
+        def optimize_one(netlist, ff, library):
+            added = real(netlist, ff, library)
+            if not mutated and mutate(netlist, ff):
+                mutated.append(ff)
+            return added
+
+        monkeypatch.setattr(fanout_opt, "_optimize_one_ff", optimize_one)
+        scan = insert_scan(map_netlist(load_circuit("s838")))
+        with pytest.raises(DftError, match="scan-design function"):
+            optimize_fanout(scan, n_vectors=10)
+        assert mutated
 
 
 class TestGuards:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bench.parser import parse_bench_lenient
-from repro.lint import LintContext, LintEngine, lint_netlist
+from repro.lint import DEFAULT_MAX_FANOUT, LintContext, LintEngine, lint_netlist
 from repro.netlist import Netlist
 
 
@@ -154,16 +154,34 @@ def test_source_lines_cited(tmp_path):
     assert f"{path}:3" in diag.render()
 
 
-def test_legacy_validation_issues_wrap_engine():
-    from repro.netlist import validation_issues
+def test_legacy_validation_issues_wrap_engine(s27_netlist, monkeypatch):
+    from repro.errors import NetlistError
+    from repro.lint import REGISTRY
+    from repro.netlist import validate, validation_issues
 
     n = Netlist("bad")
     n.add_input("a")
     n.add("g", "AND", ("a", "ghost"))
     n.add_output("g")
+    # ``a`` drives more sinks than the fanout limit (NL008), and
+    # ``dead`` feeds only a dangling gate (NL009, with NL004 on it).
+    for i in range(DEFAULT_MAX_FANOUT):
+        n.add(f"o{i}", "NOT", ("a",))
+        n.add_output(f"o{i}")
+    n.add("dead", "NOT", ("a",))
+    n.add("sink", "NOT", ("dead",))
+    report = lint_netlist(n, enable=["structural"])
+    assert {"NL001", "NL004", "NL008", "NL009"} <= rule_ids(report)
     issues = validation_issues(n)
     assert any("ghost" in issue for issue in issues)
-    with pytest.raises(Exception):
-        from repro.netlist import validate
-
+    assert issues == [diag.message for diag in report.errors]
+    with pytest.raises(NetlistError):
         validate(n)
+
+    # The warning rules are not run at all.
+    def unexpected(self, ctx):
+        raise AssertionError(f"{self.rule_id} ran under validate")
+
+    for rule_id in ("NL008", "NL009"):
+        monkeypatch.setattr(type(REGISTRY[rule_id]), "check", unexpected)
+    validate(s27_netlist)
