@@ -20,26 +20,34 @@ from .rules import LintContext, Rule, register
 
 
 def _has_combinational_cycle(netlist: Netlist) -> bool:
-    """Kahn's algorithm over the combinational core, tolerating undriven
-    fanin nets (their absence is NL001's finding, not a cycle)."""
-    indegree = {}
-    for gate in netlist.combinational_gates():
-        count = 0
-        for net in set(gate.fanin):
-            if netlist.has_net(net) and netlist.gate(net).is_combinational:
-                count += 1
-        indegree[gate.name] = count
-    ready = [name for name, degree in indegree.items() if degree == 0]
-    seen = 0
-    while ready:
-        name = ready.pop()
-        seen += 1
-        for sink in netlist.fanout(name):
-            if sink in indegree:
-                indegree[sink] -= 1
-                if indegree[sink] == 0:
-                    ready.append(sink)
-    return seen != len(indegree)
+    """Depth-first search along fanin pins over the combinational core,
+    tolerating undriven fanin nets (their absence is NL001's finding,
+    not a cycle).  A cycle shows as a pin back to a gate still on the
+    search path; each gate record is visited once."""
+    gates = {gate.name: gate for gate in netlist.gates()
+             if gate.is_combinational}
+    done = set()
+    for root, gate in gates.items():
+        if root in done:
+            continue
+        path = {root}
+        stack = [(root, iter(gate.fanin))]
+        while stack:
+            name, pins = stack[-1]
+            for net in pins:
+                driver = gates.get(net)
+                if driver is None or net in done:
+                    continue
+                if net in path:
+                    return True
+                path.add(net)
+                stack.append((net, iter(driver.fanin)))
+                break
+            else:
+                stack.pop()
+                path.discard(name)
+                done.add(name)
+    return False
 
 
 def _reaches_core_outputs(netlist: Netlist) -> set:
@@ -141,7 +149,7 @@ class DanglingGateRule(Rule):
             if gate.is_input or gate.is_dff:
                 continue
             if (
-                not netlist.fanout(gate.name)
+                not netlist.fanout_count(gate.name)
                 and gate.name not in pos
                 and gate.name not in state_outs
             ):

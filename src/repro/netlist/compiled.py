@@ -27,7 +27,8 @@ the netlist (name, port order, and every gate record), so repeated
 construction of simulators over the same circuit -- the common shape of
 the table experiments -- compiles exactly once.  Mutating a netlist
 changes its hash, which simply misses the cache; stale entries are only
-dropped via :func:`clear_compile_cache`.
+dropped via :func:`clear_compile_cache`.  The hash of each netlist
+revision is computed once and kept in its :meth:`Netlist.memo`.
 """
 
 from __future__ import annotations
@@ -788,9 +789,11 @@ def _disk_tier():
 def compile_netlist(netlist: Netlist, use_cache: bool = True) -> CompiledNetlist:
     """Compiled form of ``netlist``, from the content-hash cache if possible.
 
-    The hash is recomputed on every call (O(gates), far cheaper than a
-    compile), so a netlist mutated since its last compilation naturally
-    misses and recompiles -- the cache can never serve a stale lowering.
+    The hash is computed once per netlist revision and kept, with the
+    design name it covers, in :meth:`Netlist.memo`, which every edit
+    drops.  A netlist mutated or renamed since its last compilation
+    therefore hashes again, misses and recompiles -- the cache can never
+    serve a stale lowering.
 
     Lookup order: in-process memory tier, then the persistent disk
     tier (:mod:`repro.cache`), then an actual compile whose result is
@@ -804,7 +807,11 @@ def compile_netlist(netlist: Netlist, use_cache: bool = True) -> CompiledNetlist
         with rec.span("compile.netlist", cat="compile",
                       circuit=netlist.name, cached=False):
             return CompiledNetlist(netlist)
-    key = content_hash(netlist)
+    memo = netlist.memo()
+    name, key = memo.get("content_hash", (None, ""))
+    if name != netlist.name:
+        key = content_hash(netlist)
+        memo["content_hash"] = (netlist.name, key)
     cached = _COMPILE_CACHE.get(key)
     if cached is not None:
         _CACHE_HITS += 1

@@ -19,7 +19,7 @@ gate additionally carries the name of the standard cell implementing it in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Tuple
 
 from ..errors import NetlistError
@@ -134,17 +134,19 @@ class Gate:
         return len(self.fanin)
 
     # -- derivation --------------------------------------------------------
+    # Built directly rather than through ``dataclasses.replace``, which
+    # costs several times more; ``__post_init__``'s checks still run.
     def with_fanin(self, fanin: Iterable[str]) -> "Gate":
         """Return a copy of this gate with a different fanin tuple."""
-        return replace(self, fanin=tuple(fanin))
+        return Gate(self.name, self.func, tuple(fanin), self.cell)
 
     def with_cell(self, cell: Optional[str]) -> "Gate":
         """Return a copy of this gate bound to a standard cell."""
-        return replace(self, cell=cell)
+        return Gate(self.name, self.func, self.fanin, cell)
 
     def renamed(self, name: str) -> "Gate":
         """Return a copy of this gate (and its output net) renamed."""
-        return replace(self, name=name)
+        return Gate(name, self.func, self.fanin, self.cell)
 
 
 def evaluate_gate(func: str, values: Tuple[int, ...], mask: int = 1) -> int:

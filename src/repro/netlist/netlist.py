@@ -15,6 +15,10 @@ and its source share every fanout set until one of them writes to it
 (copy-on-write), and the copy records the gates it adds, removes or
 replaces, so an incremental analysis can read what an edit touched
 (:meth:`Netlist.edits_since`) instead of scanning every gate.
+
+Analyses derived from a netlist's contents -- its compile key, its net
+loads, its timing -- are kept in :meth:`Netlist.memo`, which every edit
+drops, so each revision is analysed once however many callers ask.
 """
 
 from __future__ import annotations
@@ -62,6 +66,9 @@ class Netlist:
         # The flip-flops in insertion order; None until asked for, and
         # dropped whenever a flip-flop is added, removed or replaced.
         self._dffs: Optional[Tuple[Gate, ...]] = None
+        # Analyses of the current contents (see memo()); every edit
+        # drops it with a plain store.
+        self._memo: Optional[Dict[object, object]] = None
         #: Source provenance, filled in by parsers that track it: the
         #: file the netlist was read from and the 1-based source line of
         #: each gate/input definition.  Lint diagnostics cite these.
@@ -77,6 +84,7 @@ class Netlist:
             raise NetlistError(f"net {net!r} already driven")
         self._gates[net] = Gate(net, "INPUT")
         self._inputs.append(net)
+        self._memo = None
         if self._owned is not None:
             self._edited(net)
         if net not in self._fanout:
@@ -88,6 +96,7 @@ class Netlist:
             raise NetlistError(f"duplicate primary output {net!r}")
         self._outputs.append(net)
         self._revision = None
+        self._memo = None
 
     def add_gate(self, gate: Gate) -> None:
         """Add a gate; its fanin nets need not exist yet."""
@@ -95,6 +104,7 @@ class Netlist:
         if name in self._gates:
             raise NetlistError(f"net {name!r} already driven")
         self._gates[name] = gate
+        self._memo = None
         if gate.is_dff:
             self._dffs = None
         if self._owned is not None:
@@ -122,6 +132,7 @@ class Netlist:
         if name in self._outputs:
             raise NetlistError(f"net {name!r} is a primary output")
         del self._gates[name]
+        self._memo = None
         self._fanout.pop(name, None)
         if gate.is_input:
             self._inputs.remove(name)
@@ -149,11 +160,15 @@ class Netlist:
             self._dffs = None
         if self._owned is not None:
             self._edited(name)
+        self._gates[name] = gate
+        self._memo = None
+        if gate.fanin == old.fanin:
+            # A cell binding or a function changed: no fanout set moves.
+            return
         fanout = self._fanout
         for net in old.fanin:
             if net not in gate.fanin and net in fanout:
                 self._writable(net).discard(name)
-        self._gates[name] = gate
         for net in gate.fanin:
             if name not in fanout.get(net, ()):
                 self._writable(net).add(name)
@@ -318,7 +333,8 @@ class Netlist:
         Gates are immutable and shared.  Fanout sets are shared too,
         until one side writes to one: from now on both this netlist and
         the copy copy a set before their first write to it.  The copy
-        records what it edits, for :meth:`edits_since`.
+        records what it edits, for :meth:`edits_since`, and starts with
+        an empty :meth:`memo`; this netlist keeps its own.
         """
         other = Netlist(name or self.name)
         other._inputs = list(self._inputs)
@@ -357,6 +373,24 @@ class Netlist:
         if self._base is None or self._base is not revision:
             return None
         return set(self._edits)
+
+    def memo(self) -> Dict[object, object]:
+        """A dict of analyses derived from this netlist's current contents.
+
+        Analyses store what they derive here and read it back instead of
+        deriving it again.  Every edit drops the dict and a copy starts
+        with an empty one, so an entry lives exactly as long as the
+        contents it was derived from.  Assigning :attr:`name` does not
+        drop it: an entry that covers the name must record it.
+
+        Entries must not reference this netlist: the netlist, its memo
+        and the entry would form a cycle that only the cyclic garbage
+        collector frees.
+        """
+        memo = self._memo
+        if memo is None:
+            memo = self._memo = {}
+        return memo
 
     def __len__(self) -> int:
         return len(self._gates)

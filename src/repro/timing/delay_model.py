@@ -108,7 +108,36 @@ def load_on_net(netlist: Netlist, library: Library, net: str,
 
 def net_loads(netlist: Netlist, library: Library,
               overlay: Optional[DelayOverlay] = None) -> Dict[str, float]:
-    """:func:`load_on_net` of every driven net, from one sweep.
+    """:func:`load_on_net` of every driven net, in a dict the caller owns.
+
+    The loads without an overlay come from one sweep per netlist revision
+    and library, kept in ``netlist.memo()``; an overlay's extra
+    capacitance is added to them afterwards, as :func:`load_on_net` adds
+    it last, so every load is the same float either way.
+    """
+    loads = _shared_loads(netlist, library)
+    if overlay is None:
+        return dict(loads)
+    extra = overlay.extra_load
+    return {net: load + extra.get(net, 0.0) for net, load in loads.items()}
+
+
+def _shared_loads(netlist: Netlist, library: Library) -> Dict[str, float]:
+    """The overlay-free :func:`net_loads`, kept in ``netlist.memo()``.
+
+    Shared by every caller until the netlist is next edited: read it,
+    never write to it.
+    """
+    memo = netlist.memo()
+    key = ("net_loads", library)
+    loads = memo.get(key)
+    if loads is None:
+        loads = memo[key] = _sweep_loads(netlist, library)
+    return loads
+
+
+def _sweep_loads(netlist: Netlist, library: Library) -> Dict[str, float]:
+    """Every driven net's overlay-free load, from one sweep.
 
     The sweep visits the sinks in name order, so each net's pin
     capacitances are added in the order :func:`load_on_net` adds them
@@ -139,15 +168,10 @@ def net_loads(netlist: Netlist, library: Library,
             pins[net] = pins.get(net, 0.0) + multiplicity * cap
             connections[net] = connections.get(net, 0) + multiplicity
     wire = WIRE_CAP_PER_FANOUT
-    loads = {
+    return {
         net: pins.get(net, 0.0) + connections.get(net, 0) * wire
         for net in gates
     }
-    if overlay is not None:
-        extra = overlay.extra_load
-        for net in loads:
-            loads[net] += extra.get(net, 0.0)
-    return loads
 
 
 def gate_delay(netlist: Netlist, library: Library, net: str,

@@ -13,6 +13,12 @@ over the stored delays -- required times and slacks are derived.
 :meth:`TimingState.retimed` times an edited copy of the netlist by
 recomputing only what the edit can move; its results are exactly equal
 to a from-scratch pass over the copy.
+
+Without an overlay, the forward pass runs once per netlist revision and
+library: its records are kept in the netlist's
+:meth:`~repro.netlist.Netlist.memo`, and every later
+:func:`timing_state` call wraps them in a fresh :class:`TimingState`
+(counted by the ``sta.timing_shared`` counter).
 """
 
 from __future__ import annotations
@@ -24,11 +30,13 @@ from typing import Dict, List, Optional, Tuple
 from ..cells import Library, default_library
 from ..errors import NetlistError, TimingError
 from ..netlist import Gate, Netlist, compile_netlist
+from ..obs import get_recorder
 from .delay_model import (
     CLK_TO_Q,
     SETUP_TIME,
     DelayOverlay,
     _rc_delay,
+    _shared_loads,
     cell_of,
     gate_delay,
     net_loads,
@@ -69,7 +77,9 @@ class TimingState:
     Build one with :func:`timing_state`.  The timed netlist must not be
     mutated afterwards: edit a :meth:`~repro.netlist.Netlist.copy` and
     call :meth:`retimed`, which leaves this state untouched, so a
-    rejected edit is undone by dropping the copy and its state.
+    rejected edit is undone by dropping the copy and its state.  The
+    ``delay`` and ``arrival`` dicts may be shared with other states of
+    the same netlist: read them, never write to them.
 
     Attributes
     ----------
@@ -272,7 +282,7 @@ class TimingState:
         levels = sum(1 for net in path if self._gates[net].is_combinational)
         return TimingReport(
             circuit=self.netlist.name,
-            arrival=self.arrival,
+            arrival=dict(self.arrival),
             critical_delay=self.critical_delay,
             critical_path=tuple(path),
             critical_levels=levels,
@@ -281,7 +291,11 @@ class TimingState:
 
 def timing_state(netlist: Netlist, library: Optional[Library] = None,
                  overlay: Optional[DelayOverlay] = None) -> TimingState:
-    """Time ``netlist`` from scratch.
+    """Time ``netlist``; the result equals a from-scratch pass.
+
+    Without an overlay the pass runs once per netlist revision and
+    library; later calls take its records from ``netlist.memo()`` and add
+    1 to the ``sta.timing_shared`` counter.
 
     Raises
     ------
@@ -294,7 +308,26 @@ def timing_state(netlist: Netlist, library: Optional[Library] = None,
     if library is None:
         library = default_library()
     _require_capture_points(netlist)
+    if overlay is not None:
+        records = _forward_pass(netlist, library, overlay)
+    else:
+        # Keyed on the library object itself, which the memo then
+        # holds, so the key cannot be taken over by another library.
+        memo = netlist.memo()
+        key = ("timing", library)
+        records = memo.get(key)
+        if records is None:
+            records = memo[key] = _forward_pass(netlist, library, None)
+        else:
+            get_recorder().incr("sta.timing_shared")
+    return TimingState(netlist, library, overlay, *records)
 
+
+def _forward_pass(netlist: Netlist, library: Library,
+                  overlay: Optional[DelayOverlay]) -> tuple:
+    """A from-scratch pass: the gate records, delays, arrivals, ranks
+    and order of a :class:`TimingState`.  Nothing returned references
+    ``netlist``, so the records can live in its memo."""
     # Arrival propagation runs on the compiled flat arrays: slot order
     # is primary inputs, state inputs, then gates topologically.
     compiled = compile_netlist(netlist)
@@ -307,7 +340,10 @@ def timing_state(netlist: Netlist, library: Optional[Library] = None,
     base = compiled.n_prefix
     fanins = compiled.fanins
     order = compiled.order
-    loads = net_loads(netlist, library, overlay)
+    if overlay is None:
+        loads = _shared_loads(netlist, library)
+    else:
+        loads = net_loads(netlist, library, overlay)
     for pos, name in enumerate(order):
         cell = cell_of(netlist, library, name)
         d = _rc_delay(cell, name, loads[name], overlay)
@@ -318,13 +354,12 @@ def timing_state(netlist: Netlist, library: Optional[Library] = None,
             if t > best:
                 best = t
         arr[base + pos] = best + d
-    return TimingState(
-        netlist, library, overlay,
-        gates=dict(zip(netlist.gate_names(), netlist.gates())),
-        delay=delay,
-        arrival=dict(zip(compiled.names, arr)),
-        rank={name: pos for pos, name in enumerate(order)},
-        order=order,
+    return (
+        dict(zip(netlist.gate_names(), netlist.gates())),
+        delay,
+        dict(zip(compiled.names, arr)),
+        {name: pos for pos, name in enumerate(order)},
+        order,
     )
 
 

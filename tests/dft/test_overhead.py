@@ -23,6 +23,7 @@ from repro.dft.overhead import _hold_activity
 from repro.netlist import clear_compile_cache
 from repro.obs import Recorder, use_recorder
 from repro.power import switching_activity
+from repro.timing import analyze
 
 #: The Table III run: the paper's 100 random vectors, the study seed.
 VECTORS = 100
@@ -254,3 +255,14 @@ class TestSharedScanAnalysis:
         assert spans["power.activity"] == 1
         assert rec.counter("sta.retimed") == 2
         assert rec.counter("power.activity_shared") == 2
+
+    def test_one_scan_timing(self, s298_netlist):
+        # Table II's three overlay-free timings of the scan netlist --
+        # insert_flh's sizing, the crit_levels analyze and compare_delay
+        # -- are one pass and two reads of the netlist's memo.
+        rec = Recorder()
+        with use_recorder(rec):
+            designs = build_all_styles(s298_netlist)
+            analyze(designs["scan"].netlist, designs["scan"].library)
+            compare_delay(designs)
+        assert rec.counter("sta.timing_shared") == 2

@@ -1,9 +1,12 @@
 """Each NL rule is seeded with its violation and must fire by ID."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bench.parser import parse_bench_lenient
 from repro.lint import DEFAULT_MAX_FANOUT, LintContext, LintEngine, lint_netlist
+from repro.lint.structural import _has_combinational_cycle
 from repro.netlist import Netlist
 
 
@@ -75,6 +78,49 @@ def test_nl005_combinational_loop():
     n.add_output("g2")
     report = lint_netlist(n)
     assert "NL005" in rule_ids(report)
+
+
+def kahn_has_cycle(netlist):
+    """Kahn's algorithm over the combinational core, following the
+    fanout index: NL005's former check, kept as its oracle."""
+    indegree = {}
+    for gate in netlist.combinational_gates():
+        indegree[gate.name] = sum(
+            1 for net in set(gate.fanin)
+            if netlist.has_net(net) and netlist.gate(net).is_combinational
+        )
+    ready = [name for name, degree in indegree.items() if degree == 0]
+    seen = 0
+    while ready:
+        name = ready.pop()
+        seen += 1
+        for sink in netlist.fanout(name):
+            if sink in indegree:
+                indegree[sink] -= 1
+                if indegree[sink] == 0:
+                    ready.append(sink)
+    return seen != len(indegree)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["AND", "NOT", "DFF"]),
+                          st.lists(st.integers(0, 15), min_size=1,
+                                   max_size=3)),
+                min_size=1, max_size=12))
+def test_nl005_verdict_matches_kahn(specs):
+    # Random gates over each other, a primary input and an undriven
+    # net: loops through logic, loops broken by flip-flops, and none.
+    n = Netlist("loops")
+    n.add_input("a")
+    names = [f"g{k}" for k in range(len(specs))] + ["a", "ghost"]
+    for k, (func, pins) in enumerate(specs):
+        fanin = [names[p % len(names)] for p in pins]
+        if func != "DFF":
+            fanin = [net for net in fanin if net != f"g{k}"] or ["a"]
+        if func != "AND":
+            fanin = fanin[:1]
+        n.add(f"g{k}", func, fanin)
+    assert _has_combinational_cycle(n) == kahn_has_cycle(n)
 
 
 def test_nl006_duplicate_definition_from_source():
