@@ -37,7 +37,7 @@ VDD = units.VDD_70NM
 @functools.lru_cache(maxsize=None)
 def study(name):
     """The result of ``python -m repro <name>``, computed once."""
-    return EXPERIMENTS[name](1, None)
+    return EXPERIMENTS[name]()
 
 
 @pytest.mark.parametrize("name", sorted(EXPERIMENTS))

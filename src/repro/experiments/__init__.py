@@ -15,7 +15,6 @@ from . import (
     fig2_decay,
     fig4_hold,
     fig5_timing,
-    parallel,
     partial_study,
     report,
     shift_power,
@@ -25,12 +24,9 @@ from . import (
     table4_fanout,
     variation_quality,
 )
-from .parallel import ParallelRunner, TaskOutcome, run_per_circuit
 from .report import format_table, summary_line
 
 __all__ = [
-    "ParallelRunner",
-    "TaskOutcome",
     "ablation_sizing",
     "common",
     "coverage_study",
@@ -38,10 +34,8 @@ __all__ = [
     "fig4_hold",
     "fig5_timing",
     "format_table",
-    "parallel",
     "partial_study",
     "report",
-    "run_per_circuit",
     "shift_power",
     "summary_line",
     "table1_area",

@@ -8,12 +8,15 @@ repeats the work.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from ..bench import TABLE13_CIRCUITS, TABLE4_CIRCUITS, load_circuit
 from ..cells import default_library
 from ..dft import DftDesign, FlhConfig, build_all_styles
 from ..netlist import Netlist, clear_compile_cache, collect_stats
+from ..obs import get_recorder
+
+T = TypeVar("T")
 
 #: Paper's random-vector count for power measurements.
 POWER_VECTORS = 100
@@ -64,6 +67,17 @@ def clear_caches() -> None:
 def default_circuits(table: int) -> Sequence[str]:
     """Circuit list per paper table (1-3 share one list, 4 its own)."""
     return TABLE4_CIRCUITS if table == 4 else TABLE13_CIRCUITS
+
+
+def per_circuit(fn: Callable[[str], T], names: Sequence[str]) -> List[T]:
+    """``fn(name)`` for each circuit in order, each in its own
+    ``experiment.circuit`` span; an exception propagates."""
+    rec = get_recorder()
+    results: List[T] = []
+    for name in names:
+        with rec.span("experiment.circuit", cat="experiment", circuit=name):
+            results.append(fn(name))
+    return results
 
 
 def structural_row(name: str) -> Dict[str, object]:

@@ -46,9 +46,9 @@ def _fmt(value: object) -> str:
 def mean(values: Iterable[float], empty: float = 0.0) -> float:
     """Arithmetic mean, defined as ``empty`` for an empty sequence.
 
-    The per-table average properties use this so a run where every
-    circuit errored out (all rows degraded) renders an average of 0.0
-    instead of dying on a ZeroDivisionError.
+    The per-table average properties use this so a result with no
+    comparisons renders an average of 0.0 instead of dying on a
+    ZeroDivisionError.
     """
     data = list(values)
     if not data:

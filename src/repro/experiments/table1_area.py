@@ -16,8 +16,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..dft import OverheadComparison, compare_area
-from .common import default_circuits, structural_row, styled_designs
-from .parallel import error_row, run_per_circuit
+from .common import (
+    default_circuits,
+    per_circuit,
+    structural_row,
+    styled_designs,
+)
 from .report import format_table, mean, summary_line
 
 
@@ -62,7 +66,7 @@ class Table1Result:
 
 
 def _circuit_result(name: str):
-    """Row + comparison for one circuit (module-level: picklable)."""
+    """Row + comparison for one circuit."""
     designs = styled_designs(name)
     comparison = compare_area(designs)
     row = structural_row(name)
@@ -72,25 +76,8 @@ def _circuit_result(name: str):
     return row, comparison
 
 
-def run(circuits: Optional[Sequence[str]] = None,
-        processes: int = 1,
-        task_timeout: Optional[float] = None) -> Table1Result:
-    """Run the Table I experiment.
-
-    ``processes > 1`` fans circuits out across worker processes; a
-    circuit that fails degrades to an error row instead of killing the
-    table.  Result ordering matches the circuit list either way.
-    """
-    names = list(circuits or default_circuits(1))
-    rows: List[Dict[str, object]] = []
-    comparisons: List[OverheadComparison] = []
-    for outcome in run_per_circuit(_circuit_result, names,
-                                   processes=processes,
-                                   timeout=task_timeout):
-        if outcome.ok:
-            row, comparison = outcome.value
-            rows.append(row)
-            comparisons.append(comparison)
-        else:
-            rows.append(error_row(outcome))
-    return Table1Result(rows=rows, comparisons=comparisons)
+def run(circuits: Optional[Sequence[str]] = None) -> Table1Result:
+    """Run the Table I experiment; a circuit that raises fails it."""
+    results = per_circuit(_circuit_result, circuits or default_circuits(1))
+    return Table1Result(rows=[row for row, _ in results],
+                        comparisons=[comparison for _, comparison in results])

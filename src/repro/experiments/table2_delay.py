@@ -16,8 +16,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..dft import OverheadComparison, compare_delay
 from ..timing import analyze
-from .common import default_circuits, styled_designs
-from .parallel import error_row, run_per_circuit
+from .common import default_circuits, per_circuit, styled_designs
 from .report import format_table, mean, summary_line
 
 
@@ -55,7 +54,7 @@ class Table2Result:
 
 
 def _circuit_result(name: str):
-    """Row + comparison for one circuit (module-level: picklable)."""
+    """Row + comparison for one circuit."""
     designs = styled_designs(name)
     report = analyze(designs["scan"].netlist, designs["scan"].library)
     comparison = compare_delay(designs)
@@ -69,20 +68,8 @@ def _circuit_result(name: str):
     return row, comparison
 
 
-def run(circuits: Optional[Sequence[str]] = None,
-        processes: int = 1,
-        task_timeout: Optional[float] = None) -> Table2Result:
-    """Run the Table II experiment (see Table I for the parallel knobs)."""
-    names = list(circuits or default_circuits(2))
-    rows: List[Dict[str, object]] = []
-    comparisons: List[OverheadComparison] = []
-    for outcome in run_per_circuit(_circuit_result, names,
-                                   processes=processes,
-                                   timeout=task_timeout):
-        if outcome.ok:
-            row, comparison = outcome.value
-            rows.append(row)
-            comparisons.append(comparison)
-        else:
-            rows.append(error_row(outcome))
-    return Table2Result(rows=rows, comparisons=comparisons)
+def run(circuits: Optional[Sequence[str]] = None) -> Table2Result:
+    """Run the Table II experiment; a circuit that raises fails it."""
+    results = per_circuit(_circuit_result, circuits or default_circuits(2))
+    return Table2Result(rows=[row for row, _ in results],
+                        comparisons=[comparison for _, comparison in results])

@@ -16,8 +16,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..dft import OverheadComparison, compare_power
-from .common import POWER_VECTORS, SEED, default_circuits, styled_designs
-from .parallel import error_row, run_per_circuit
+from .common import (
+    POWER_VECTORS,
+    SEED,
+    default_circuits,
+    per_circuit,
+    styled_designs,
+)
 from .report import format_table, mean, summary_line
 
 
@@ -62,28 +67,16 @@ class Table3Result:
         return "\n".join(lines)
 
 
-def _circuit_result(args):
-    """Comparison for one circuit (module-level: picklable)."""
-    name, n_vectors = args
+def _circuit_result(name: str, n_vectors: int) -> OverheadComparison:
+    """Comparison for one circuit."""
     designs = styled_designs(name)
     return compare_power(designs, n_vectors=n_vectors, seed=SEED)
 
 
 def run(circuits: Optional[Sequence[str]] = None,
-        n_vectors: int = POWER_VECTORS,
-        processes: int = 1,
-        task_timeout: Optional[float] = None) -> Table3Result:
-    """Run the Table III experiment (see Table I for the parallel knobs)."""
-    names = list(circuits or default_circuits(3))
-    rows: List[Dict[str, object]] = []
-    comparisons: List[OverheadComparison] = []
-    for outcome in run_per_circuit(
-            _circuit_result, [(name, n_vectors) for name in names],
-            processes=processes, timeout=task_timeout):
-        if outcome.ok:
-            comparison = outcome.value
-            comparisons.append(comparison)
-            rows.append(comparison.as_row())
-        else:
-            rows.append({"circuit": outcome.item[0], "error": outcome.error})
-    return Table3Result(rows=rows, comparisons=comparisons)
+        n_vectors: int = POWER_VECTORS) -> Table3Result:
+    """Run the Table III experiment; a circuit that raises fails it."""
+    comparisons = per_circuit(lambda name: _circuit_result(name, n_vectors),
+                              circuits or default_circuits(3))
+    return Table3Result(rows=[c.as_row() for c in comparisons],
+                        comparisons=comparisons)

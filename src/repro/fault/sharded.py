@@ -6,9 +6,8 @@ a function of the good machine and its own fanout cone only.  This
 module partitions a fault list into shards and runs drop-mode fault
 simulation across a pool of **persistent** worker processes:
 
-* workers are forked once per :class:`ShardedFaultSimulator` lifetime
-  (not once per task, unlike
-  :class:`repro.experiments.parallel.ParallelRunner`);
+* workers are forked once per :class:`ShardedFaultSimulator` lifetime,
+  not once per request;
 * each worker receives the netlist **once** at startup (its serialized
   dict form, so the pool also works under spawn), compiles it locally
   -- or loads the lowering straight from the persistent disk cache
@@ -186,9 +185,6 @@ def _shard_detect(sim: FaultSimulator, faults: Sequence[StuckFault],
         )
     elif kind == "patterns":
         result = sim.simulate_stuck(faults, payload[1], drop_detected=drop)
-    elif kind == "pairs":
-        result = sim.simulate_transition(faults, payload[1],
-                                         drop_detected=drop)
     else:
         raise SimulationError(f"unknown payload kind {kind!r}")
     return result.detected
@@ -413,13 +409,11 @@ class ShardedFaultSimulator:
     """
 
     def __init__(self, netlist: Netlist, processes: int = 1,
-                 request_timeout: Optional[float] = None,
                  backend: str = BACKEND_AUTO):
         if processes < 1:
             raise ValueError(f"processes must be >= 1, got {processes}")
         self.netlist = netlist
         self.processes = processes
-        self.request_timeout = request_timeout
         self.backend = backend
         self._workers: List[Tuple] = []       # (proc, conn) per shard
         self._serial: Optional[FaultSimulator] = None
@@ -616,8 +610,7 @@ class ShardedFaultSimulator:
                     f"{timeout:.1f}s"
                 )
 
-    def _recv_reply(self, worker_id: int, req_id: int,
-                    timeout: Optional[float] = None) -> Tuple:
+    def _recv_reply(self, worker_id: int, req_id: int) -> Tuple:
         """Receive the reply to ``req_id``, stashing out-of-order ones.
 
         With speculative PODEM searches in flight, a worker's pipe can
@@ -630,12 +623,8 @@ class ShardedFaultSimulator:
         stash = self._stash[worker_id]
         if req_id in stash:
             return stash.pop(req_id)
-        deadline = (time.perf_counter() + timeout
-                    if timeout is not None else None)
         while True:
-            remaining = (None if deadline is None
-                         else max(0.0, deadline - time.perf_counter()))
-            msg = self._recv(worker_id, timeout=remaining)
+            msg = self._recv(worker_id)
             if (msg[0] in ("ok", "err") and msg[1] != req_id
                     and msg[1] != -1):
                 stash[msg[1]] = msg
@@ -657,8 +646,7 @@ class ShardedFaultSimulator:
         for worker_id, req_id in requests:
             wait_start = rec.now_us() if rec.enabled else 0.0
             try:
-                msg = self._recv_reply(worker_id, req_id,
-                                       timeout=self.request_timeout)
+                msg = self._recv_reply(worker_id, req_id)
             except SimulationError as exc:
                 rec.warning("pool.shard_error",
                             counter="pool.shard_errors",
@@ -751,30 +739,6 @@ class ShardedFaultSimulator:
         return FaultSimResult(
             detected={f: merged[f] for f in faults},
             n_patterns=n_patterns,
-        )
-
-    def simulate_transition(self, faults, pairs,
-                            drop_detected: bool = False) -> FaultSimResult:
-        """Sharded :meth:`~repro.fault.fsim.FaultSimulator.simulate_transition`.
-
-        Transition faults shard exactly like stuck-at faults (each
-        fault's launch/capture masks depend only on the good machines
-        and its own cone); workers receive the (V1, V2) pair list once
-        per call and the merge is fault-order-stable, so sharded and
-        serial runs are interchangeable bit for bit.
-        """
-        self._ensure_started()
-        faults = list(faults)
-        pairs = list(pairs)
-        if self._serial is not None:
-            return self._serial.simulate_transition(faults, pairs,
-                                                    drop_detected)
-        merged = self._fanout(shard_faults(faults, len(self._workers),
-                                           self._shard_block()),
-                              ("pairs", pairs), drop_detected)
-        return FaultSimResult(
-            detected={f: merged[f] for f in faults},
-            n_patterns=len(pairs),
         )
 
     # -- session API (multi-round fault dropping) ----------------------

@@ -136,8 +136,8 @@ class Recorder:
     Timestamps are monotonic (:func:`time.perf_counter`) microseconds
     since construction -- the unit Chrome trace events use -- so spans
     survive wall-clock adjustments.  Appends are guarded by a lock:
-    the sharded pool and the parallel runner record from watcher loops
-    that may share the recorder with the main thread.
+    the sharded pool records from watcher loops that may share the
+    recorder with the main thread.
     """
 
     enabled = True
@@ -207,7 +207,7 @@ class Recorder:
         """Record one complete span event (Chrome ``ph: "X"``).
 
         For callers that measured the interval themselves (e.g. the
-        parallel runner's subprocess tasks); :meth:`span` is the
+        sharded pool's ``pool.shard_reply`` waits); :meth:`span` is the
         context-manager form.
         """
         record = {

@@ -58,7 +58,7 @@ def test_mean_empty_defaults_to_zero():
 
 
 def test_table_averages_survive_empty_comparisons():
-    """All-error runs (every row degraded) must render, not divide by 0."""
+    """Results with no comparisons must render, not divide by 0."""
     from repro.experiments.table1_area import Table1Result
     from repro.experiments.table2_delay import Table2Result
     from repro.experiments.table3_power import Table3Result

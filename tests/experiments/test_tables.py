@@ -8,6 +8,7 @@ from repro.experiments import (
     table3_power,
     table4_fanout,
 )
+from repro.obs import Recorder, use_recorder
 
 SUBSET = ("s298", "s344")
 
@@ -93,3 +94,15 @@ class TestTable4:
         assert row["fanout_after"] <= row["fanout_before"]
         assert result.average_improvement >= 0.0
         assert "Table IV" in result.render()
+
+
+def test_bad_circuit_fails_the_table():
+    """A circuit that raises fails the whole table, and its
+    ``experiment.circuit`` span records the error."""
+    rec = Recorder()
+    with use_recorder(rec), pytest.raises(KeyError, match="sBOGUS"):
+        table1_area.run(circuits=("s27", "sBOGUS"))
+    spans = [e["args"] for e in rec.events
+             if e["name"] == "experiment.circuit"]
+    assert spans == [{"circuit": "s27"},
+                     {"circuit": "sBOGUS", "error": "KeyError"}]

@@ -9,9 +9,9 @@ file pins the batching axis itself: forced batch sizes (empty and
 single-fault lists included) against the integer kernels, the
 overlapping-cone case where one fault's site sits inside another
 batch-mate's cone, reconvergent paths of different lengths, the sparse
-fault state's memory bound, the sharded pool in transition drop mode
-(empty shards included), the end-to-end ATPG/experiment artifacts
-across backends, and the ``repro fsim`` command line.
+fault state's memory bound, the sharded pool's block dealing, the
+end-to-end ATPG/experiment artifacts across backends, and the
+``repro fsim`` command line.
 
 Skipped entirely when numpy is not importable (``test_backends.py``
 covers batch sizing without numpy).
@@ -256,50 +256,6 @@ class TestSharded:
                                              drop_detected=True)
         assert got.detected == want.detected
         assert list(got.detected) == list(want.detected)
-
-    @pytest.mark.parametrize("backend", ["int", "numpy"])
-    def test_sharded_transition_drop_matches_serial_int(self, s298_netlist,
-                                                        backend):
-        """Transition drop-mode through the pool, both backends."""
-        faults = _sampled(all_transition_faults(s298_netlist))
-        pairs = _pairs(s298_netlist, 70, seed=13)
-        want = FaultSimulator(
-            s298_netlist, backend="int"
-        ).simulate_transition(faults, pairs, drop_detected=True)
-        with ShardedFaultSimulator(s298_netlist, processes=2,
-                                   backend=backend) as pool:
-            got = pool.simulate_transition(faults, pairs,
-                                           drop_detected=True)
-        assert got.detected == want.detected
-        assert list(got.detected) == list(want.detected)
-        assert got.coverage == want.coverage
-        assert got.n_patterns == want.n_patterns
-
-    def test_sharded_transition_more_processes_than_faults(self,
-                                                           s27_netlist):
-        """Empty shards (processes > len(faults)) stay harmless."""
-        faults = all_transition_faults(s27_netlist)[:2]
-        pairs = _pairs(s27_netlist, 70, seed=17)
-        want = FaultSimulator(
-            s27_netlist, backend="int"
-        ).simulate_transition(faults, pairs, drop_detected=True)
-        with ShardedFaultSimulator(s27_netlist, processes=4,
-                                   backend="numpy") as pool:
-            got = pool.simulate_transition(faults, pairs,
-                                           drop_detected=True)
-        assert got.detected == want.detected
-        assert list(got.detected) == list(want.detected)
-
-    def test_sharded_transition_serial_inline(self, s27_netlist):
-        """processes=1 runs inline, same entry point."""
-        faults = all_transition_faults(s27_netlist)[:4]
-        pairs = _pairs(s27_netlist, 70, seed=19)
-        want = FaultSimulator(
-            s27_netlist, backend="int"
-        ).simulate_transition(faults, pairs)
-        with ShardedFaultSimulator(s27_netlist, processes=1) as pool:
-            got = pool.simulate_transition(faults, pairs)
-        assert got.detected == want.detected
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,8 @@ import re
 
 import pytest
 
-from repro.__main__ import EXPERIMENTS, QUICK, main
+from repro.__main__ import EXPERIMENTS, main
+from repro.experiments import table2_delay
 
 
 def test_fig5_runs(capsys):
@@ -38,29 +39,48 @@ def test_all_expands_to_every_experiment():
     }
 
 
-def test_quick_subset_runs():
-    # The quick bundle must at least include the fast protocol check.
-    # Entries take (processes, task_timeout) and return the result;
-    # fig5 ignores both.
-    assert "fig5" in QUICK
-    assert "Figure 5(b)" in QUICK["fig5"](1, None).render()
-
-
 @pytest.mark.parametrize("flag, value", [
     ("--processes", "0"),
     ("--processes", "-1"),
+    ("--processes", "2"),
     ("--task-timeout", "0"),
     ("--task-timeout", "-1"),
+    ("--task-timeout", "5"),
 ])
 def test_bad_knobs_are_usage_errors(capsys, flag, value):
-    """A zero or negative knob exits 2 before any study runs, instead of
-    a traceback or a table of "timed out" rows."""
+    """Studies run in-process with no per-circuit knobs: any value of
+    one exits 2 before a study prints."""
     with pytest.raises(SystemExit) as excinfo:
-        main(["table2", "--processes", "2", flag, value])
+        main(["table2", flag, value])
     assert excinfo.value.code == 2
     captured = capsys.readouterr()
     assert flag in captured.err
-    assert "Table II" not in captured.out
+    assert captured.out == ""
+
+
+def test_quick_is_not_a_verb(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["quick"])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert "quick" in captured.err
+    assert captured.out == ""
+
+
+def test_failing_circuit_fails_the_verb(capsys, monkeypatch):
+    """One circuit that raises ends ``repro table2`` with that exception
+    and no partial table."""
+    real = table2_delay._circuit_result
+
+    def circuit_result(name):
+        if name == "s344":
+            raise RuntimeError("boom in s344")
+        return real(name)
+
+    monkeypatch.setattr(table2_delay, "_circuit_result", circuit_result)
+    with pytest.raises(RuntimeError, match="boom in s344"):
+        main(["table2"])
+    assert "Table II" not in capsys.readouterr().out
 
 
 def test_bench_help_available(capsys):
