@@ -22,11 +22,9 @@ Usage::
 
     python -m repro atpg s5378                # two-phase fault-dropping ATPG
     python -m repro atpg --all --json         # every catalog circuit, JSON
-    python -m repro atpg s38584 --processes 4 # sharded fault-sim pool
 
-    python -m repro fsim s5378 --processes 2 --check-serial
-                                              # sharded fault simulation,
-                                              # asserted identical to serial
+    python -m repro fsim s5378 --check-serial # fault simulation, masks
+                                              # checked against the int kernel
 
     python -m repro analyze s298              # static testability analysis
     python -m repro analyze --all --json      # SCOAP + untestable proofs
@@ -34,9 +32,9 @@ Usage::
     python -m repro atpg s298 --trace run.json  # structured run trace
     python -m repro trace run.json              # validate a written trace
 
-Each study runs in-process, its circuits one after another.  A study
-that raises ends the run with its traceback and a non-zero exit, and
-prints no partial table.
+Every verb runs in one process.  Each study runs its circuits one
+after another; a study that raises ends the run with its traceback and
+a non-zero exit, and prints no partial table.
 
 See ``python -m repro lint --help`` (and ``docs/lint.md``) for rule
 selection, baselines and output formats; ``python -m repro bench
@@ -106,7 +104,7 @@ def main(argv: List[str] | None = None) -> int:
 
         return atpg_main(argv[1:])
     if argv and argv[0] == "fsim":
-        from .fault.sharded import fsim_main
+        from .fault.fsim import fsim_main
 
         return fsim_main(argv[1:])
     if argv and argv[0] == "analyze":

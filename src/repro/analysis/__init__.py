@@ -27,7 +27,6 @@ from .scoap import (
     KNOWN_STYLES,
     ScoapScores,
     compute_scoap,
-    guidance_hash,
     scan_cell_difficulty,
 )
 from .untestable import REASONS, UntestabilityProver
@@ -47,6 +46,5 @@ __all__ = [
     "analyze_main",
     "clear_analysis_cache",
     "compute_scoap",
-    "guidance_hash",
     "scan_cell_difficulty",
 ]

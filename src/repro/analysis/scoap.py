@@ -383,29 +383,6 @@ def compute_scoap(netlist: Netlist, style: str = "scan",
     )
 
 
-def guidance_hash(scores: Optional[ScoapScores]) -> str:
-    """Stable content hash of one :class:`ScoapScores` blob.
-
-    The handshake key for shipping SCOAP guidance to pool workers once
-    per session: the parent records the hash each worker holds and
-    skips the (large) payload when it matches.  ``None`` -- no guidance
-    -- hashes to a fixed sentinel so unguided sessions handshake the
-    same way.  The hash covers every field the guided PODEM search
-    reads, so equal hashes imply identical search behavior.
-    """
-    import hashlib
-    import pickle
-
-    if scores is None:
-        return "none"
-    payload = pickle.dumps(
-        (scores.style, scores.names, scores.cc0, scores.cc1, scores.co,
-         scores.launch_cc0, scores.launch_cc1),
-        protocol=4,
-    )
-    return hashlib.sha256(payload).hexdigest()
-
-
 def scan_cell_difficulty(netlist: Netlist, scores: ScoapScores,
                          ) -> List[Dict[str, object]]:
     """Per-scan-cell difficulty rows for hold-cell selection.

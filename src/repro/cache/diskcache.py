@@ -2,9 +2,8 @@
 
 A :class:`DiskCache` is a directory of pickle files, one entry per
 content-hash key, shared by every process that points at the same
-root -- the sharded fault-simulation workers foremost: the first
-worker (or the parent) to compile a netlist publishes the lowering,
-and every later process loads it instead of recompiling.
+root: the first run to compile a netlist publishes the lowering, and
+every later process loads it instead of recompiling.
 
 Design constraints, all load-bearing:
 

@@ -48,7 +48,6 @@ from .models import (
 )
 from .broadside import BroadsideAtpg, unroll_two_frames
 from .podem import AtpgResult, Podem, eval3, generate_tests, justify
-from .sharded import ShardedFaultSimulator, shard_faults
 from .quality import EscapeReport, escape_study, sample_delay_defects
 from .transition import (
     STYLE_ARBITRARY,
@@ -83,8 +82,6 @@ __all__ = [
     "STYLE_BROADSIDE",
     "STYLE_PARTIAL",
     "STYLE_SKEWED",
-    "ShardedFaultSimulator",
-    "shard_faults",
     "EscapeReport",
     "StuckFault",
     "TransitionAtpg",

@@ -72,9 +72,8 @@ def unroll_two_frames(netlist: Netlist, use_cache: bool = True) -> Netlist:
 
     Results are cached on the source netlist's content hash, in memory
     and -- as their JSON-stable dict form -- in the persistent disk
-    tier (:mod:`repro.cache`), so repeated runs and worker processes
-    skip the O(gates) unroll.  Pass ``use_cache=False`` for a private
-    mutable copy.
+    tier (:mod:`repro.cache`), so repeated runs skip the O(gates)
+    unroll.  Pass ``use_cache=False`` for a private mutable copy.
     """
     key = content_hash(netlist) if use_cache else None
     if key is not None:

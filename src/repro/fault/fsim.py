@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..errors import SimulationError
 from ..netlist import Netlist
@@ -493,3 +493,117 @@ def random_pattern_coverage(netlist: Netlist,
     return FaultSimulator(netlist).simulate_stuck_packed(
         faults, words, n_patterns
     )
+
+
+# ----------------------------------------------------------------------
+# CLI: python -m repro fsim
+# ----------------------------------------------------------------------
+def fsim_main(argv: Optional[List[str]] = None) -> int:
+    """``python -m repro fsim`` -- stuck-at fault simulation.
+
+    The CI smoke surface: ``--check-serial`` asserts the run's
+    detection masks are bit-identical to an int-kernel run, and
+    ``--json`` emits per-circuit records including compile-cache
+    statistics so a cold-vs-warm pair of runs can assert the disk tier
+    was hit.
+    """
+    import argparse
+    import json
+    import time
+
+    from ..bench import load_circuit
+    from ..netlist import compile_cache_info
+    from ..obs import add_trace_argument, trace_session
+    from .collapse import collapse_stuck
+    from .models import all_stuck_faults
+
+    parser = argparse.ArgumentParser(
+        prog="repro fsim",
+        description="Bit-parallel stuck-at fault simulation.",
+    )
+    parser.add_argument("circuits", nargs="*", default=["s5378"],
+                        help="catalog circuit names (default: s5378)")
+    parser.add_argument("--backend", default="auto",
+                        choices=["auto", "int", "numpy"],
+                        help="simulation backend: packed-int kernels, "
+                             "numpy wide-batch engine, or auto "
+                             "(numpy for multi-word batches when "
+                             "importable; default)")
+    parser.add_argument("--patterns", type=int, default=64,
+                        help="random patterns to simulate (default 64)")
+    parser.add_argument("--max-faults", type=int, default=None,
+                        help="cap the collapsed fault list at the first "
+                             "N faults (smoke runs on stress circuits)")
+    parser.add_argument("--seed", type=int, default=7,
+                        help="pattern RNG seed (default 7)")
+    parser.add_argument("--drop", action="store_true",
+                        help="drop-mode (early-exit) masks")
+    parser.add_argument("--check-serial", action="store_true",
+                        help="also run on the int kernel and fail unless "
+                             "the masks are bit-identical")
+    parser.add_argument("--json", action="store_true",
+                        help="one JSON record per circuit (includes "
+                             "compile-cache statistics)")
+    add_trace_argument(parser)
+    args = parser.parse_args(argv)
+    if args.patterns < 0:
+        parser.error(f"--patterns must be >= 0, got {args.patterns}")
+    if args.max_faults is not None and args.max_faults < 0:
+        parser.error(f"--max-faults must be >= 0, got {args.max_faults}")
+
+    status = 0
+    manifest_extra: Dict[str, object] = {"seed": args.seed,
+                                         "circuits": {}}
+    with trace_session(args.trace, "fsim", argv=list(argv or []),
+                       extra=manifest_extra):
+        for name in args.circuits:
+            netlist = load_circuit(name)
+            faults = collapse_stuck(netlist, all_stuck_faults(netlist))
+            if args.max_faults is not None:
+                faults = faults[:args.max_faults]
+            words = random_pattern_words(netlist, args.patterns,
+                                         args.seed)
+            start = time.perf_counter()
+            result = FaultSimulator(
+                netlist, backend=args.backend,
+            ).simulate_stuck_packed(
+                faults, words, args.patterns, drop_detected=args.drop
+            )
+            seconds = time.perf_counter() - start
+            record = {
+                "circuit": name,
+                "backend": args.backend,
+                "n_faults": len(faults),
+                "n_patterns": args.patterns,
+                "drop": args.drop,
+                "coverage": result.coverage,
+                "seconds": seconds,
+            }
+            if args.check_serial:
+                # Pinned to the integer kernel so the check stays a
+                # genuine cross-backend comparison whatever ran above.
+                serial = FaultSimulator(
+                    netlist, backend=BACKEND_INT,
+                ).simulate_stuck_packed(
+                    faults, words, args.patterns, drop_detected=args.drop
+                )
+                identical = serial.detected == result.detected
+                record["identical_masks"] = identical
+                if not identical:
+                    status = 1
+            record["compile_cache"] = compile_cache_info()
+            manifest_extra["circuits"][name] = {
+                k: v for k, v in record.items() if k != "compile_cache"
+            }
+            if args.json:
+                print(json.dumps(record, sort_keys=True))
+            else:
+                extra = ""
+                if "identical_masks" in record:
+                    extra = (" | masks identical to serial"
+                             if record["identical_masks"]
+                             else " | MASK MISMATCH vs serial")
+                print(f"{name}: coverage {result.coverage:.4f} over "
+                      f"{len(faults)} faults / {args.patterns} patterns, "
+                      f"{seconds:.3f}s{extra}")
+    return status

@@ -175,13 +175,6 @@ class AtpgResult:
         return self.status == "detected"
 
 
-#: Default loop-iteration slice for resumable searches: small enough
-#: that a worker polling its pipe between slices stays responsive to
-#: cancellation and interleaved fault-sim requests, large enough that
-#: the polling overhead disappears into the search cost.
-DEFAULT_SEARCH_SLICE = 32
-
-
 @dataclass(frozen=True)
 class PodemPolicy:
     """One search policy of an engine portfolio.
@@ -191,8 +184,7 @@ class PodemPolicy:
     racing (see :func:`repro.fault.backends.podem_portfolio`) runs the
     same fault under several policies; because each policy's search is
     a pure function of ``(netlist, fault, policy)``, the portfolio
-    outcome folded in a fixed policy order is deterministic no matter
-    where or in which wall-clock order the searches actually ran.
+    outcome folded in a fixed policy order is deterministic.
     """
 
     name: str = "base"
@@ -201,148 +193,6 @@ class PodemPolicy:
 
     def resolve_limit(self, default: int) -> int:
         return default if self.backtrack_limit is None else self.backtrack_limit
-
-    def to_wire(self, default_limit: int,
-                slice_iterations: int = DEFAULT_SEARCH_SLICE,
-                ) -> Dict[str, object]:
-        """Plain-dict form shipped over a worker pipe."""
-        return {
-            "name": self.name,
-            "guided": self.guided,
-            "backtrack_limit": self.resolve_limit(default_limit),
-            "slice": slice_iterations,
-        }
-
-
-class PodemSearch:
-    """One resumable PODEM search over a bound :class:`Podem` engine.
-
-    The search loop of :meth:`Podem.generate`, restructured so it can
-    run in bounded slices: :meth:`step` executes at most
-    ``max_iterations`` decision-loop iterations and returns the final
-    :class:`AtpgResult` once the search concludes, or ``None`` while it
-    is still running.  Between slices the caller may do unrelated work
-    -- a pool worker polls its pipe for cancellation and interleaved
-    fault-simulation requests -- and an abandoned search needs no
-    cleanup (the next search's ``_begin`` resets the engine).
-
-    The engine's incremental three-valued state belongs to exactly one
-    live search: constructing a new search (or calling
-    ``generate``/``justify``) invalidates any paused one, and a stale
-    :meth:`step` raises :class:`~repro.errors.AtpgError` instead of
-    silently corrupting the walk.
-
-    ``backtrack_limit`` overrides the engine's default budget for this
-    search only -- the portfolio lever for differing-budget policies.
-    """
-
-    def __init__(self, engine: "Podem", fault: StuckFault,
-                 require: Sequence[Tuple[str, int]] = (),
-                 backtrack_limit: Optional[int] = None):
-        compiled = engine.compiled
-        site = compiled.index.get(fault.net)
-        if site is None:
-            raise AtpgError(f"fault site {fault.net!r} not in netlist")
-        req: List[Tuple[int, int]] = []
-        for net, value in require:
-            slot = compiled.index.get(net)
-            if slot is None:
-                raise AtpgError(f"require net {net!r} not in netlist")
-            req.append((slot, value))
-        self.engine = engine
-        self.fault = fault
-        self.backtrack_limit = (engine.backtrack_limit
-                                if backtrack_limit is None
-                                else backtrack_limit)
-        self._req = req
-        self._site = site
-        engine._begin(site, fault.value)
-        engine._active_search = self
-        self._assignment: Dict[int, int] = {}
-        self._decisions: List[list] = []
-        self.backtracks = 0
-        self.result: Optional[AtpgResult] = None
-
-    def _finish(self, status: str,
-                test: Optional[Dict[str, int]] = None) -> AtpgResult:
-        self.result = AtpgResult(self.fault, status, test, self.backtracks)
-        return self.result
-
-    def step(self, max_iterations: Optional[int] = None,
-             ) -> Optional[AtpgResult]:
-        """Run up to ``max_iterations`` loop iterations (None = to the
-        end); returns the result, or ``None`` if the slice ran out."""
-        if self.result is not None:
-            return self.result
-        engine = self.engine
-        if engine._active_search is not self:
-            raise AtpgError(
-                "PodemSearch resumed after its engine was reused by "
-                "another search"
-            )
-        v0, v1 = engine._v0, engine._v1
-        site = self._site
-        fault = self.fault
-        req = self._req
-        assignment = self._assignment
-        decisions = self._decisions
-        names = engine.compiled.names
-        n_prefix = engine._n_prefix
-        remaining = max_iterations
-
-        while remaining is None or remaining > 0:
-            if remaining is not None:
-                remaining -= 1
-            req_conflict = any(
-                (v0[s] if value else v1[s]) & 1 for s, value in req
-            )
-            req_pending = [
-                (s, value) for s, value in req if not (v0[s] | v1[s]) & 1
-            ]
-            detected = engine._fault_at_output()
-            if not req_conflict and not req_pending and detected:
-                test = {
-                    names[s]: assignment.get(s, 0) for s in range(n_prefix)
-                }
-                return self._finish("detected", test)
-
-            frontier = engine._d_frontier()
-            failed = req_conflict
-            if (v0[site] | v1[site]) & 1:
-                if (v1[site] if fault.value else v0[site]) & 1:
-                    failed = True        # fault can no longer be excited
-                elif not detected and not engine._x_path_exists(frontier):
-                    failed = True        # effect can no longer propagate
-
-            objective = None
-            if not failed:
-                objective = engine._objective(site, fault.value, frontier)
-                if objective is None and req_pending:
-                    objective = req_pending[0]
-                if objective is None:
-                    failed = True
-
-            if not failed:
-                slot, value = objective
-                pi, pi_value = engine._backtrace(slot, value)
-                if pi not in assignment:
-                    trail = engine._assign_pi(pi, pi_value)
-                    decisions.append([pi, pi_value, 0, trail])
-                    assignment[pi] = pi_value
-                    continue
-                # Backtrace landed on a decided input: the objective is
-                # unreachable under the current decisions -- backtrack.
-
-            if not engine._backtrack(assignment, decisions):
-                return self._finish("untestable")
-            self.backtracks += 1
-            if self.backtracks > self.backtrack_limit:
-                return self._finish("aborted")
-        return None
-
-    def run(self) -> AtpgResult:
-        """Run the search to completion (equivalent to ``generate``)."""
-        return self.step(None)
 
 
 class Podem:
@@ -398,9 +248,6 @@ class Podem:
         #: different), and how many of them are observation points.
         self._effects: Set[int] = set()
         self._observed_effects = 0
-        #: The live search owning the incremental state (staleness guard
-        #: for paused :class:`PodemSearch` instances).
-        self._active_search: Optional["PodemSearch"] = None
 
     # ------------------------------------------------------------------
     # incremental three-valued simulation state
@@ -619,18 +466,74 @@ class Podem:
         frame-1 copy of the fault site must carry the initial value.
 
         ``backtrack_limit`` overrides the engine's default budget for
-        this call only (portfolio policies); the search itself is the
-        resumable :class:`PodemSearch` run in one uninterrupted slice.
+        this call only (portfolio policies).
         """
-        return self.search(fault, require,
-                           backtrack_limit=backtrack_limit).run()
+        compiled = self.compiled
+        site = compiled.index.get(fault.net)
+        if site is None:
+            raise AtpgError(f"fault site {fault.net!r} not in netlist")
+        req: List[Tuple[int, int]] = []
+        for net, value in require:
+            slot = compiled.index.get(net)
+            if slot is None:
+                raise AtpgError(f"require net {net!r} not in netlist")
+            req.append((slot, value))
+        limit = (self.backtrack_limit if backtrack_limit is None
+                 else backtrack_limit)
+        self._begin(site, fault.value)
+        v0, v1 = self._v0, self._v1
+        assignment: Dict[int, int] = {}
+        decisions: List[list] = []  # [slot, value, flipped, trail]
+        backtracks = 0
+        names = compiled.names
+        n_prefix = self._n_prefix
 
-    def search(self, fault: StuckFault,
-               require: Sequence[Tuple[str, int]] = (),
-               backtrack_limit: Optional[int] = None) -> PodemSearch:
-        """A resumable search for ``fault`` (see :class:`PodemSearch`)."""
-        return PodemSearch(self, fault, require,
-                           backtrack_limit=backtrack_limit)
+        while True:
+            req_conflict = any(
+                (v0[s] if value else v1[s]) & 1 for s, value in req
+            )
+            req_pending = [
+                (s, value) for s, value in req if not (v0[s] | v1[s]) & 1
+            ]
+            detected = self._fault_at_output()
+            if not req_conflict and not req_pending and detected:
+                test = {
+                    names[s]: assignment.get(s, 0) for s in range(n_prefix)
+                }
+                return AtpgResult(fault, "detected", test, backtracks)
+
+            frontier = self._d_frontier()
+            failed = req_conflict
+            if (v0[site] | v1[site]) & 1:
+                if (v1[site] if fault.value else v0[site]) & 1:
+                    failed = True        # fault can no longer be excited
+                elif not detected and not self._x_path_exists(frontier):
+                    failed = True        # effect can no longer propagate
+
+            objective = None
+            if not failed:
+                objective = self._objective(site, fault.value, frontier)
+                if objective is None and req_pending:
+                    objective = req_pending[0]
+                if objective is None:
+                    failed = True
+
+            if not failed:
+                slot, value = objective
+                pi, pi_value = self._backtrace(slot, value)
+                if pi not in assignment:
+                    trail = self._assign_pi(pi, pi_value)
+                    decisions.append([pi, pi_value, 0, trail])
+                    assignment[pi] = pi_value
+                    continue
+                # Backtrace landed on a decided input: the objective is
+                # unreachable under the current decisions -- backtrack.
+
+            if not self._backtrack(assignment, decisions):
+                return AtpgResult(fault, "untestable", None, backtracks)
+            backtracks += 1
+            if backtracks > limit:
+                return AtpgResult(fault, "aborted", None, backtracks)
 
     # ------------------------------------------------------------------
     def justify(self, net: str, value: int) -> Optional[Dict[str, int]]:
@@ -646,7 +549,6 @@ class Podem:
         if slot is None:
             raise AtpgError(f"net {net!r} not in netlist")
         self._begin(None)
-        self._active_search = None  # invalidate any paused PodemSearch
         v0, v1 = self._v0, self._v1
         assignment: Dict[int, int] = {}
         decisions: List[list] = []  # [slot, value, flipped, trail]
@@ -706,10 +608,8 @@ def justify(netlist, net: str, value: int,
 # Re-export for callers that levelize through this module historically.
 __all__ = [
     "AtpgResult",
-    "DEFAULT_SEARCH_SLICE",
     "Podem",
     "PodemPolicy",
-    "PodemSearch",
     "X",
     "eval3",
     "generate_tests",

@@ -798,8 +798,8 @@ def compile_netlist(netlist: Netlist, use_cache: bool = True) -> CompiledNetlist
     Lookup order: in-process memory tier, then the persistent disk
     tier (:mod:`repro.cache`), then an actual compile whose result is
     published to both tiers.  The disk tier is what lets a fresh
-    process -- a repeated experiment run, a CI job, a sharded
-    fault-simulation worker -- skip recompilation entirely.
+    process -- a repeated experiment run, a CI job -- skip
+    recompilation entirely.
     """
     global _CACHE_HITS, _CACHE_MISSES, _DISK_HITS, _DISK_MISSES
     rec = get_recorder()

@@ -32,7 +32,6 @@ from .recorder import (
     use_recorder,
 )
 from .validate import (
-    FATAL_COUNTERS,
     check_run,
     validate_manifest,
     validate_trace,
@@ -40,7 +39,6 @@ from .validate import (
 
 __all__ = [
     "EVENT_SCHEMA",
-    "FATAL_COUNTERS",
     "MANIFEST_SCHEMA",
     "NULL_RECORDER",
     "NullRecorder",

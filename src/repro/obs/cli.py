@@ -11,8 +11,9 @@ duration and the trace / event log / manifest are written on exit,
 want when diagnosing the crash).
 
 ``python -m repro trace RUN.json`` validates an emitted run:
-structural Chrome-trace shape plus the manifest's swallowed-error
-counters (see :mod:`repro.obs.validate`).
+structural Chrome-trace shape plus the manifest's ``error``, which
+names the exception type of a run that raised (see
+:mod:`repro.obs.validate`).
 """
 
 from __future__ import annotations
@@ -52,19 +53,24 @@ def trace_session(trace_path: Optional[str], command: str,
     Yields the active recorder (the shared no-op when ``trace_path``
     is falsy).  ``extra`` is a caller-owned dict exported into the
     manifest's ``extra`` field; the caller may keep filling it until
-    the context exits (e.g. per-circuit coverage).
+    the context exits (e.g. per-circuit coverage).  A body that raises
+    writes the exception's type name as the manifest's ``error``.
     """
     if not trace_path:
         yield NULL_RECORDER
         return
     recorder = Recorder()
+    error = None
     try:
         with use_recorder(recorder):
             with recorder.span(f"cli.{command}", cat="cli"):
                 yield recorder
+    except BaseException as exc:
+        error = type(exc).__name__
+        raise
     finally:
         paths = write_run(recorder, trace_path, command=command,
-                          argv=argv, extra=extra)
+                          argv=argv, extra=extra, error=error)
         print(f"[trace written to {paths['trace']} "
               f"(+ events.jsonl, manifest.json)]", file=sys.stderr)
 
@@ -74,21 +80,16 @@ def trace_main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro trace",
         description="Structurally validate a --trace run: Chrome "
-                    "trace-event shape, monotonic timestamps, and "
-                    "zero swallowed-error counters in the manifest.",
+                    "trace-event shape, monotonic timestamps, and a "
+                    "manifest that records no error.",
     )
     parser.add_argument("traces", nargs="+", metavar="TRACE.json",
                         help="trace files emitted by --trace")
-    parser.add_argument("--allow-swallowed", action="store_true",
-                        help="do not fail on non-zero swallowed-error "
-                             "counters")
     args = parser.parse_args(argv)
 
     status = 0
     for path in args.traces:
-        problems = check_run(
-            path, fail_on_swallowed=not args.allow_swallowed
-        )
+        problems = check_run(path)
         if problems:
             status = 1
             print(f"{path}: INVALID")

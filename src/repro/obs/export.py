@@ -13,8 +13,10 @@ Three files per traced run, all derived from one recorder:
 ``<trace>.manifest.json``
     Per-run metadata: command and argv, run id, git revision, schema
     versions, wall/CPU time, every counter and gauge, compile-cache
-    statistics (:func:`repro.netlist.compile_cache_info`), plus any
-    CLI-specific extras (per-circuit coverage, seeds, ...).
+    statistics (:func:`repro.netlist.compile_cache_info`), the
+    exception type of a run that raised (``error``, ``null`` on
+    success), plus any CLI-specific extras (per-circuit coverage,
+    seeds, ...).
 
 Writes are atomic (temp file + ``os.replace``) so a run killed
 mid-export never leaves a torn trace behind.
@@ -31,7 +33,7 @@ from typing import Dict, List, Optional, Sequence
 
 #: Bump when the trace/manifest layout changes.
 TRACE_SCHEMA = 1
-MANIFEST_SCHEMA = 1
+MANIFEST_SCHEMA = 2
 
 
 def trace_path_siblings(trace_path: str) -> Dict[str, str]:
@@ -85,8 +87,13 @@ def _git_rev() -> Optional[str]:
 def build_manifest(recorder, command: str,
                    argv: Optional[Sequence[str]] = None,
                    extra: Optional[Dict[str, object]] = None,
+                   error: Optional[str] = None,
                    ) -> Dict[str, object]:
-    """Per-run manifest: args, environment, timings, counters, caches."""
+    """Per-run manifest: args, environment, timings, counters, caches.
+
+    ``error`` is the exception type name of a run that raised, ``None``
+    for one that finished.
+    """
     snapshot = recorder.snapshot()
     try:
         from ..netlist import compile_cache_info
@@ -108,6 +115,7 @@ def build_manifest(recorder, command: str,
         "counters": snapshot["counters"],
         "gauges": snapshot["gauges"],
         "compile_cache": cache_info,
+        "error": error,
     }
     manifest.update(recorder.elapsed())
     if extra:
@@ -140,12 +148,13 @@ def _write_json_atomic(payload, path: str, jsonl: bool = False) -> None:
 
 def write_run(recorder, trace_path: str, command: str,
               argv: Optional[Sequence[str]] = None,
-              extra: Optional[Dict[str, object]] = None) -> Dict[str, str]:
+              extra: Optional[Dict[str, object]] = None,
+              error: Optional[str] = None) -> Dict[str, str]:
     """Write trace + JSONL event log + manifest; returns their paths."""
     paths = trace_path_siblings(trace_path)
     snapshot = recorder.snapshot()
     _write_json_atomic(build_trace(recorder), paths["trace"])
     _write_json_atomic(snapshot["events"], paths["events"], jsonl=True)
-    _write_json_atomic(build_manifest(recorder, command, argv, extra),
-                       paths["manifest"])
+    _write_json_atomic(build_manifest(recorder, command, argv, extra,
+                                      error), paths["manifest"])
     return paths

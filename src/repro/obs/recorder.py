@@ -1,11 +1,11 @@
 """Process-local structured observability: events, spans, counters.
 
 The repository's engines (compiled simulation, the two-phase ATPG
-flow, the sharded worker pool, the disk cache) used to be black boxes:
-when something went wrong it either crashed with a bare exception or
-vanished into an ``except Exception: pass``.  This module is the
-counterweight -- a zero-dependency :class:`Recorder` that instrumented
-code routes its internal behavior through:
+flow, the disk cache) used to be black boxes: when something went
+wrong it either crashed with a bare exception or vanished into an
+``except Exception: pass``.  This module is the counterweight -- a
+zero-dependency :class:`Recorder` that instrumented code routes its
+internal behavior through:
 
 * **events** -- timestamped structured records (instant trace events);
   :meth:`Recorder.warning` is the designated sink for previously
@@ -135,9 +135,8 @@ class Recorder:
 
     Timestamps are monotonic (:func:`time.perf_counter`) microseconds
     since construction -- the unit Chrome trace events use -- so spans
-    survive wall-clock adjustments.  Appends are guarded by a lock:
-    the sharded pool records from watcher loops that may share the
-    recorder with the main thread.
+    survive wall-clock adjustments.  Appends are guarded by a lock, so
+    a recorder shared between threads loses no event or count.
     """
 
     enabled = True
@@ -206,9 +205,8 @@ class Recorder:
                        cat: str = "span", **args) -> None:
         """Record one complete span event (Chrome ``ph: "X"``).
 
-        For callers that measured the interval themselves (e.g. the
-        sharded pool's ``pool.shard_reply`` waits); :meth:`span` is the
-        context-manager form.
+        For callers that measured the interval themselves;
+        :meth:`span` is the context-manager form.
         """
         record = {
             "name": name,

@@ -4,9 +4,9 @@ The CI smoke step runs a traced ATPG flow and then validates the
 artifacts with :func:`check_run` (surfaced as ``python -m repro
 trace``): the trace must be shaped like Chrome trace-event JSON --
 required keys per event, non-negative monotonic ``ts``, balanced
-``B``/``E`` pairs or complete ``X`` events -- and the manifest's
-``pool.swallowed_errors`` counter must be zero, so any swallowed
-worker-pool failure fails the build instead of hiding in a log.
+``B``/``E`` pairs or complete ``X`` events -- and the manifest must
+not record an ``error``, so a run that raised fails the check instead
+of validating clean.
 """
 
 from __future__ import annotations
@@ -19,9 +19,6 @@ from .export import trace_path_siblings
 
 #: Event keys every trace event must carry.
 _REQUIRED_KEYS = ("name", "ph", "ts", "pid", "tid")
-
-#: Counters that must be zero for a run to count as clean.
-FATAL_COUNTERS = ("pool.swallowed_errors",)
 
 
 def validate_trace(trace: object) -> List[str]:
@@ -85,8 +82,7 @@ def validate_trace(trace: object) -> List[str]:
     return problems
 
 
-def validate_manifest(manifest: object,
-                      fail_on_swallowed: bool = True) -> List[str]:
+def validate_manifest(manifest: object) -> List[str]:
     """Problems with a parsed manifest (empty list = valid)."""
     problems: List[str] = []
     if not isinstance(manifest, dict):
@@ -95,27 +91,19 @@ def validate_manifest(manifest: object,
                 "wall_seconds"):
         if key not in manifest:
             problems.append(f"manifest missing key {key!r}")
-    counters = manifest.get("counters")
-    if not isinstance(counters, dict):
+    if not isinstance(manifest.get("counters"), dict):
         problems.append("manifest 'counters' is not an object")
-        counters = {}
-    if fail_on_swallowed:
-        for name in FATAL_COUNTERS:
-            count = counters.get(name, 0)
-            if count:
-                problems.append(
-                    f"counter {name} = {count} (swallowed failures "
-                    f"recorded during the run)"
-                )
+    error = manifest.get("error")
+    if error:
+        problems.append(f"run failed: {error}")
     return problems
 
 
-def check_run(trace_path: str,
-              fail_on_swallowed: bool = True) -> List[str]:
+def check_run(trace_path: str) -> List[str]:
     """Validate one traced run's artifacts on disk.
 
     Checks the trace file structurally and, when the sibling manifest
-    exists, the manifest too (including the swallowed-error counters).
+    exists, the manifest too (including whether the run raised).
     """
     paths = trace_path_siblings(trace_path)
     try:
@@ -135,5 +123,5 @@ def check_run(trace_path: str,
     except json.JSONDecodeError as exc:
         problems.append(f"manifest is not valid JSON: {exc}")
     if manifest is not None:
-        problems.extend(validate_manifest(manifest, fail_on_swallowed))
+        problems.extend(validate_manifest(manifest))
     return problems

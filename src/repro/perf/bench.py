@@ -13,9 +13,7 @@ alternating pairs on this host:
 * a kernel fails when even its upper-quartile ratio is below its
   floor, so one noisy pair cannot fail it.  Each floor sits above a
   third of the kernel's upper quartile as measured on a 2-vCPU host
-  (docs/performance.md), so a fast path that got 3x slower fails;
-* below a kernel's ``min_cores`` usable cores the floor is waived and
-  the report says why; the identity check still runs.
+  (docs/performance.md), so a fast path that got 3x slower fails.
 
 End-to-end wall time and memory belong to perfbench (``BENCHMARK.json``).
 
@@ -39,7 +37,7 @@ import sys
 import tempfile
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import (
     Any,
@@ -57,13 +55,11 @@ from ..fault import (
     AtpgFlow,
     AtpgFlowConfig,
     FaultSimulator,
-    ShardedFaultSimulator,
     all_stuck_faults,
     collapse_stuck,
     random_pattern_words,
 )
 from ..fault.podem import X, generate_tests
-from ..fault.sharded import usable_cores
 from ..netlist import clear_compile_cache, compile_cache_info, compile_netlist
 from ..obs import add_trace_argument, get_recorder, trace_session
 from .reference import ReferenceFaultSimulator, ReferenceThreeValuedSimulator
@@ -73,7 +69,7 @@ MIN_PAIRS = 5
 #: ... and keeps pairing until its oracle side has been timed this long.
 MIN_ORACLE_SECONDS = 1.0
 
-#: PODEM backtrack limit of both ATPG kernels.
+#: PODEM backtrack limit of both sides of the ATPG kernel.
 BACKTRACK_LIMIT = 60
 
 
@@ -92,7 +88,6 @@ class Kernel:
     oracle: Callable[[Any], Any]
     check: Callable[[Any, Any, Any], Optional[str]]
     floor: float
-    min_cores: int = 1
 
 
 # ----------------------------------------------------------------------
@@ -110,12 +105,6 @@ def _same_masks(state, fast, oracle) -> Optional[str]:
     return None
 
 
-def _same_masks_and_coverage(state, fast, oracle) -> Optional[str]:
-    if fast.coverage != oracle.coverage:
-        return f"coverage {fast.coverage:.6f} != {oracle.coverage:.6f}"
-    return _same_masks(state, fast, oracle)
-
-
 @contextmanager
 def _fsim_stuck():
     """s38584, every 160th stuck fault x 32 patterns."""
@@ -126,21 +115,6 @@ def _fsim_stuck():
         faults=all_stuck_faults(netlist)[::160],
         patterns=_random_patterns(netlist, 32, seed=11),
     )
-
-
-@contextmanager
-def _fsim_sharded():
-    """s38584, every 24th collapsed fault x 32 patterns; the 4-worker
-    pool forks and compiles here, outside the timed region."""
-    netlist = load_circuit("s38584")
-    state = SimpleNamespace(
-        serial=FaultSimulator(netlist),
-        faults=collapse_stuck(netlist, all_stuck_faults(netlist))[::24],
-        words=random_pattern_words(netlist, 32, seed=11),
-        n=32,
-    )
-    with ShardedFaultSimulator(netlist, processes=4) as state.pool:
-        yield state
 
 
 @contextmanager
@@ -274,52 +248,11 @@ def _same_coverage(state, flow, naive) -> Optional[str]:
     return None
 
 
-@contextmanager
-def _atpg_parallel_podem():
-    """s5378 hard remainder: every 24th collapsed fault minus what 256
-    random patterns detect, with the flow's random phase off, so both
-    sides time exactly the phase-2 PODEM walk."""
-    netlist = load_circuit("s5378")
-    faults = collapse_stuck(netlist, all_stuck_faults(netlist))[::24]
-    words = random_pattern_words(netlist, 256, seed=11)
-    random_phase = FaultSimulator(netlist, backend="int")
-    detected = random_phase.simulate_stuck_packed(
-        faults, words, 256, drop_detected=True).detected
-    serial = AtpgFlowConfig(n_random_patterns=0, backend="int",
-                            backtrack_limit=BACKTRACK_LIMIT)
-    yield SimpleNamespace(
-        netlist=netlist,
-        hard=[f for f in faults if not detected.get(f)],
-        serial=serial,
-        parallel=replace(serial, processes=4),
-    )
-
-
-def _same_artifacts(state, parallel, serial) -> Optional[str]:
-    if parallel.coverage != serial.coverage:
-        return (f"coverage {parallel.coverage:.6f} != serial "
-                f"{serial.coverage:.6f}")
-    if (parallel.tests != serial.tests
-            or list(parallel.status.items()) != list(serial.status.items())
-            or list(parallel.detected_via.items())
-            != list(serial.detected_via.items())
-            or list(parallel.untestable_via.items())
-            != list(serial.untestable_via.items())
-            or parallel.summary() != serial.summary()):
-        return (f"artifacts differ from serial (parallel "
-                f"{parallel.summary()} vs serial {serial.summary()})")
-    return None
-
-
 KERNELS = (
     Kernel("fsim_stuck", _fsim_stuck,
            fast=lambda s: s.sim.simulate_stuck(s.faults, s.patterns),
            oracle=lambda s: s.reference.simulate_stuck(s.faults, s.patterns),
            check=_same_masks, floor=15.0),
-    Kernel("fsim_sharded", _fsim_sharded,
-           fast=lambda s: _fsim_packed(s.pool, s),
-           oracle=lambda s: _fsim_packed(s.serial, s),
-           check=_same_masks_and_coverage, floor=2.5, min_cores=4),
     # Fails since the int kernel became event-driven; ROADMAP item 4
     # decides between re-deriving `select_backend` and deleting numpy.
     Kernel("fsim_numpy", _fsim_numpy,
@@ -338,10 +271,6 @@ KERNELS = (
            oracle=lambda s: generate_tests(s.netlist, s.workload,
                                            backtrack_limit=BACKTRACK_LIMIT),
            check=_same_coverage, floor=5.0),
-    Kernel("atpg_parallel_podem", _atpg_parallel_podem,
-           fast=lambda s: AtpgFlow(s.netlist, s.parallel).run(s.hard),
-           oracle=lambda s: AtpgFlow(s.netlist, s.serial).run(s.hard),
-           check=_same_artifacts, floor=2.5, min_cores=4),
 )
 
 
@@ -356,7 +285,7 @@ def _timed(fn: Callable[[Any], Any], state: Any, times: List[float],
     return out
 
 
-def run_kernel(kernel: Kernel, cores: int,
+def run_kernel(kernel: Kernel,
                clock: Callable[[], float] = time.perf_counter,
                ) -> Dict[str, object]:
     """Time ``kernel`` in alternating fast/oracle pairs; its report row.
@@ -380,11 +309,7 @@ def run_kernel(kernel: Kernel, cores: int,
                     f"{kernel.name}: pair {len(fast_s)}: {mismatch}")
     ratios = [o / max(f, 1e-9) for f, o in zip(fast_s, oracle_s)]
     q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
-    if cores < kernel.min_cores:
-        verdict = "waived"
-        note = (f"floor waived: {cores} usable core(s) < "
-                f"{kernel.min_cores}")
-    elif q3 < kernel.floor:
+    if q3 < kernel.floor:
         verdict = "FAIL"
         note = f"upper-quartile ratio {q3:.2f}x < floor {kernel.floor:g}x"
     else:
@@ -398,7 +323,6 @@ def run_kernel(kernel: Kernel, cores: int,
         "ratio_q1": q1,
         "ratio_q3": q3,
         "floor": kernel.floor,
-        "min_cores": kernel.min_cores,
         "verdict": verdict,
         "note": note,
     }
@@ -406,18 +330,16 @@ def run_kernel(kernel: Kernel, cores: int,
 
 def run_bench(kernels: Sequence[Kernel]) -> Dict[str, object]:
     """Run every kernel on this host; returns the report dict."""
-    cores = usable_cores()
     rec = get_recorder()
     rows = []
     for kernel in kernels:
         with rec.span("bench.kernel", cat="bench", kernel=kernel.name):
-            rows.append(run_kernel(kernel, cores))
+            rows.append(run_kernel(kernel))
     return {
-        "schema": 2,
+        "schema": 3,
         "date": datetime.date.today().isoformat(),
         "python": platform.python_version(),
         "platform": platform.platform(),
-        "usable_cores": cores,
         "kernels": rows,
     }
 
@@ -425,8 +347,8 @@ def run_bench(kernels: Sequence[Kernel]) -> Dict[str, object]:
 def render_report(report: Dict[str, object]) -> str:
     """Aligned text table of one bench run."""
     lines = [
-        f"repro bench -- {report['date']}, python {report['python']}, "
-        f"{report['usable_cores']} usable core(s); ratio = oracle / fast",
+        f"repro bench -- {report['date']}, python {report['python']}; "
+        f"ratio = oracle / fast",
         f"{'kernel':<20} {'pairs':>5} {'fast s':>8} {'oracle s':>8} "
         f"{'ratio':>7} {'q1':>7} {'q3':>7} {'floor':>6}  verdict",
     ]

@@ -1,10 +1,10 @@
 """Concurrent multi-process hammer on one DiskCache namespace.
 
-The sharded pool's workers, the experiment runner's forked workers and
-plain parallel CLI invocations all share one persistent cache root, so
-``put``/``get``/eviction must stay safe under real cross-process
-concurrency: a reader must only ever see a complete, self-consistent
-entry (or a miss), never bytes from a torn or mixed write.
+Parallel CLI invocations and test runs all share one persistent cache
+root, so ``put``/``get``/eviction must stay safe under real
+cross-process concurrency: a reader must only ever see a complete,
+self-consistent entry (or a miss), never bytes from a torn or mixed
+write.
 """
 
 import multiprocessing

@@ -15,11 +15,18 @@ The two pinning suites here are the contract the perf work rests on:
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from dataclasses import replace
 
 import pytest
 
+import repro
+
 from repro.bench import available_circuits, load_circuit
+from repro.errors import SimulationError
 from repro.fault import (
     AtpgFlow,
     AtpgFlowConfig,
@@ -30,6 +37,7 @@ from repro.fault import (
     run_flow,
 )
 from repro.fault.atpg_flow import VIA_DROP, VIA_PODEM, VIA_RANDOM, atpg_main
+from repro.fault.backends import RACE_BUDGET_FACTOR, podem_portfolio
 from repro.fault.podem import X
 from repro.netlist import Netlist, compile_netlist
 from repro.perf.reference import ReferenceThreeValuedSimulator
@@ -225,6 +233,36 @@ class TestAtpgFlow:
         AtpgFlowConfig(n_random_patterns=0)
         AtpgFlowConfig(max_idle_batches=1)
 
+    def test_config_rejects_negative_backtrack_limit(self):
+        with pytest.raises(ValueError, match="backtrack_limit"):
+            AtpgFlowConfig(backtrack_limit=-1)
+
+    def test_race_serial_changes_only_aborts(self):
+        """Racing may rescue aborts but never un-detect anything."""
+        netlist = load_circuit("s344")
+        base = AtpgFlowConfig(n_random_patterns=64, backtrack_limit=5,
+                              backend="int")
+        plain = AtpgFlow(netlist, base).run()
+        raced = AtpgFlow(netlist, replace(base, race=True)).run()
+        assert len(raced.detected_faults) >= len(plain.detected_faults)
+        assert (len(raced.aborted_faults)
+                <= len(plain.aborted_faults))
+
+    def test_s298_run_does_not_import_numpy(self):
+        """s298's batches are one word wide, so the flow never reaches
+        the numpy engine, and never imports numpy either."""
+        code = ("import sys\n"
+                "from repro.bench import load_circuit\n"
+                "from repro.fault.atpg_flow import AtpgFlow\n"
+                "AtpgFlow(load_circuit('s298')).run()\n"
+                "print('numpy' in sys.modules)\n")
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}).stdout
+        assert out.split() == ["False"]
+
+
     def test_s27_full_coverage_and_tests_verify(self, s27_netlist):
         flow = AtpgFlow(s27_netlist).run()
         assert flow.coverage == 1.0
@@ -291,6 +329,35 @@ class TestAtpgFlow:
         json.dumps(summary)  # JSON-friendly by contract
 
 
+class TestPodemPortfolio:
+    def test_no_race_is_single_base_policy(self):
+        (base,) = podem_portfolio(60, base_guided=False, race=False)
+        assert base.guided is False
+        assert base.resolve_limit(60) == 60
+
+    def test_no_race_guided_base(self):
+        (base,) = podem_portfolio(60, base_guided=True, race=False)
+        assert base.guided is True
+
+    def test_race_order_and_budgets(self):
+        policies = podem_portfolio(60, base_guided=False, race=True)
+        assert [p.guided for p in policies] == [False, True, True]
+        assert policies[0].resolve_limit(60) == 60
+        assert policies[1].resolve_limit(60) == 60
+        assert policies[2].resolve_limit(60) == RACE_BUDGET_FACTOR * 60
+        # The portfolio is a pure function of its arguments.
+        assert policies == podem_portfolio(60, base_guided=False,
+                                           race=True)
+
+    def test_race_flips_diversity_policy(self):
+        policies = podem_portfolio(60, base_guided=True, race=True)
+        assert [p.guided for p in policies] == [True, False, True]
+
+    def test_negative_limit_rejected(self):
+        with pytest.raises(SimulationError):
+            podem_portfolio(-1)
+
+
 class TestCli:
     def test_text_output(self, capsys):
         assert atpg_main(["s27", "--random-patterns", "32"]) == 0
@@ -329,7 +396,7 @@ class TestFlowArtifact:
                             AtpgFlow(load_circuit("s27"), config).run())
         assert one == two
         payload = json.loads(one)
-        assert payload["schema"] == 2
+        assert payload["schema"] == 3
         assert payload["circuit"] == "s27"
         assert one.endswith(b"\n")
 
@@ -351,34 +418,23 @@ class TestFlowArtifact:
             atpg_main(["s27", "s298", "--artifact", "/tmp/x.json"])
         capsys.readouterr()
 
-    #: SHA-256 of the s298 artifact per config.  ``1`` and ``2`` are the
-    #: default config at ``processes`` 1 and 2; phase 2 of the sharded
-    #: run goes through the parallel PODEM coordinator.  The others
-    #: cover the SCOAP-guided objective and backtrace (``analysis``),
-    #: the policy portfolio (``race``) and guided searches in pool
-    #: workers (``analysis-2``).  Under ``backend="auto"`` s298 runs on
-    #: the int kernels, so the digests hold with or without numpy and
-    #: under any PYTHONHASHSEED.
+    #: SHA-256 of the s298 artifact per config.  ``1`` is the default
+    #: config; the others cover the SCOAP-guided objective and
+    #: backtrace (``analysis``) and the policy portfolio (``race``).
+    #: Under ``backend="auto"`` s298 runs on the int kernels, so the
+    #: digests hold with or without numpy and under any PYTHONHASHSEED.
     ARTIFACT_SHA256 = {
         "1": (
-            {"processes": 1},
-            "e83b57d7757eca8a190c89d2abcc8000d54b8a790b66e83cd376a89554b831db",
-        ),
-        "2": (
-            {"processes": 2},
-            "dc5cf93e0c0315fb0682eede73cf5f003f3b4d1226308a084290d7c32397cfe5",
+            {},
+            "b1704710868156c18598ef28aa33ecb170cb9d879fbb276ad503507615043912",
         ),
         "analysis": (
             {"use_analysis": True},
-            "67b9874f4474a3a2d476a2ba3b497ceb5ff5a7278bbe797656576ac15dd7f173",
+            "71032941954926cc96018ee8b834d1c9be17a935ce2fbc2e5f2fd4d78788b1a5",
         ),
         "race": (
             {"race": True},
-            "9e0ef87a7e92dbeaac674b090e2a264380d2897677dd653e2aee4a57adc3ec72",
-        ),
-        "analysis-2": (
-            {"use_analysis": True, "processes": 2},
-            "0544175b56f5c03746b6c65e4d80f15052f96ad462b860336e7a84b4ef617f49",
+            "282e7d163dc5bf379453e3219c3f6e88a193ad158f1614a987bd5f6dcbefc815",
         ),
     }
 

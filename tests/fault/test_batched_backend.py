@@ -9,9 +9,8 @@ file pins the batching axis itself: forced batch sizes (empty and
 single-fault lists included) against the integer kernels, the
 overlapping-cone case where one fault's site sits inside another
 batch-mate's cone, reconvergent paths of different lengths, the sparse
-fault state's memory bound, the sharded pool's block dealing, the
-end-to-end ATPG/experiment artifacts across backends, and the
-``repro fsim`` command line.
+fault state's memory bound, the end-to-end ATPG/experiment artifacts
+across backends, and the ``repro fsim`` command line.
 
 Skipped entirely when numpy is not importable (``test_backends.py``
 covers batch sizing without numpy).
@@ -32,12 +31,10 @@ from repro.fault import (
     AtpgFlow,
     AtpgFlowConfig,
     FaultSimulator,
-    ShardedFaultSimulator,
     StuckFault,
     all_stuck_faults,
     all_transition_faults,
     random_pattern_words,
-    shard_faults,
 )
 from repro.fault.backends import select_batch_faults
 from repro.netlist import Netlist, compile_netlist, validate
@@ -226,39 +223,6 @@ def test_property_batched_matches_int(netlist, n_patterns, batch, drop,
 
 
 # ----------------------------------------------------------------------
-# sharded pool
-# ----------------------------------------------------------------------
-class TestSharded:
-    def test_block_sharding_default_is_round_robin(self):
-        faults = list(range(10))
-        assert shard_faults(faults, 3) == shard_faults(faults, 3, block=1)
-
-    def test_block_sharding_deals_whole_blocks(self):
-        faults = list(range(10))
-        shards = shard_faults(faults, 2, block=3)
-        assert shards == [[0, 1, 2, 6, 7, 8], [3, 4, 5, 9]]
-        assert sorted(sum(shards, [])) == faults
-
-    def test_block_must_be_positive(self):
-        with pytest.raises(ValueError, match="block"):
-            shard_faults([1, 2], 2, block=0)
-
-    def test_sharded_batched_stuck_matches_serial_int(self, s298_netlist):
-        faults = _sampled(all_stuck_faults(s298_netlist))
-        words = random_pattern_words(s298_netlist, N_PATTERNS, seed=21)
-        want = FaultSimulator(
-            s298_netlist, backend="int"
-        ).simulate_stuck_packed(faults, words, N_PATTERNS,
-                                drop_detected=True)
-        with ShardedFaultSimulator(s298_netlist, processes=2,
-                                   backend="numpy") as pool:
-            got = pool.simulate_stuck_packed(faults, words, N_PATTERNS,
-                                             drop_detected=True)
-        assert got.detected == want.detected
-        assert list(got.detected) == list(want.detected)
-
-
-# ----------------------------------------------------------------------
 # plan / observe-order memoization
 # ----------------------------------------------------------------------
 def test_plan_memoized_per_compiled_netlist(s298_netlist):
@@ -345,7 +309,7 @@ def test_coverage_study_render_identical_across_backends(s298_netlist,
 
 
 def test_fsim_cli_numpy_check_serial(capsys):
-    from repro.fault.sharded import fsim_main
+    from repro.fault.fsim import fsim_main
 
     status = fsim_main(["s27", "--backend", "numpy", "--patterns", "70",
                         "--check-serial"])
@@ -355,7 +319,7 @@ def test_fsim_cli_numpy_check_serial(capsys):
 
 
 def test_fsim_cli_stress_name_and_max_faults(capsys):
-    from repro.fault.sharded import fsim_main
+    from repro.fault.fsim import fsim_main
 
     status = fsim_main(["stress1x", "--patterns", "64", "--max-faults",
                         "32", "--backend", "int"])
@@ -372,8 +336,9 @@ def test_fsim_cli_stress_name_and_max_faults(capsys):
 ])
 def test_fsim_cli_rejects_bad_numbers(capsys, flag, value):
     """Out-of-range numbers are usage errors (exit 2), not tracebacks or
-    a silently shortened fault list."""
-    from repro.fault.sharded import fsim_main
+    a silently shortened fault list; ``--processes`` is no option at
+    all any more."""
+    from repro.fault.fsim import fsim_main
 
     with pytest.raises(SystemExit) as exc:
         fsim_main(["s27", flag, value])

@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 from repro.bench import available_circuits, load_circuit
 from repro.fault import (
     FaultSimulator,
-    ShardedFaultSimulator,
     all_stuck_faults,
     all_transition_faults,
     random_pattern_words,
@@ -195,18 +194,6 @@ def test_mask_bits_match_per_pattern_simulation(s27_netlist):
         for fault in faults:
             assert ((wide.detected[fault] >> p) & 1) == \
                 (single.detected[fault] & 1)
-
-
-def test_sharded_numpy_matches_serial_int(s298_netlist):
-    faults = _sampled(all_stuck_faults(s298_netlist))
-    words = random_pattern_words(s298_netlist, N_PATTERNS, seed=21)
-    serial = FaultSimulator(s298_netlist, backend="int")
-    want = serial.simulate_stuck_packed(faults, words, N_PATTERNS)
-    with ShardedFaultSimulator(s298_netlist, processes=2,
-                               backend="numpy") as pool:
-        got = pool.simulate_stuck_packed(faults, words, N_PATTERNS)
-    assert got.detected == want.detected
-    assert got.coverage == want.coverage
 
 
 @given(comb_netlist(), st.integers(65, 150), st.booleans(),

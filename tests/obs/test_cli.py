@@ -35,6 +35,7 @@ class TestTraceSession:
         )
         assert manifest["command"] == "cmd"
         assert manifest["argv"] == ["--x"]
+        assert manifest["error"] is None
         assert "trace written to" in capsys.readouterr().err
 
     def test_extra_filled_late_is_exported(self, tmp_path):
@@ -61,6 +62,11 @@ class TestTraceSession:
         cli = next(e for e in trace["traceEvents"]
                    if e["name"] == "cli.cmd")
         assert cli["args"]["error"] == "RuntimeError"
+        manifest = json.loads(
+            (tmp_path / "run.manifest.json").read_text()
+        )
+        assert manifest["error"] == "RuntimeError"
+        assert check_run(str(target)) == ["run failed: RuntimeError"]
 
     def test_env_default(self, tmp_path, monkeypatch):
         import argparse
@@ -87,30 +93,26 @@ class TestTraceSession:
 
 
 class TestTraceMain:
-    def write_run(self, tmp_path, swallowed=0):
+    def write_run(self, tmp_path, error=None):
         from repro.obs import Recorder, write_run
 
         rec = Recorder()
         with rec.span("s"):
             pass
-        if swallowed:
-            rec.incr("pool.swallowed_errors", swallowed)
         return write_run(rec, str(tmp_path / "run.json"),
-                         command="test")
+                         command="test", error=error)
 
     def test_valid_run_passes(self, tmp_path, capsys):
         paths = self.write_run(tmp_path)
         assert trace_main([paths["trace"]]) == 0
         assert "ok" in capsys.readouterr().out
 
-    def test_swallowed_errors_fail(self, tmp_path, capsys):
-        paths = self.write_run(tmp_path, swallowed=2)
+    def test_failed_run_fails(self, tmp_path, capsys):
+        paths = self.write_run(tmp_path, error="RuntimeError")
         assert trace_main([paths["trace"]]) == 1
-        assert "INVALID" in capsys.readouterr().out
-
-    def test_allow_swallowed_waives(self, tmp_path):
-        paths = self.write_run(tmp_path, swallowed=2)
-        assert trace_main(["--allow-swallowed", paths["trace"]]) == 0
+        out = capsys.readouterr().out
+        assert "INVALID" in out
+        assert "run failed: RuntimeError" in out
 
     def test_missing_file_fails(self, tmp_path):
         assert trace_main([str(tmp_path / "nope.json")]) == 1
@@ -139,19 +141,15 @@ class TestTracedCliRuns:
         summary = manifest["extra"]["circuits"]["s27"]
         assert 0.0 <= summary["coverage"] <= 1.0
 
-    def test_fsim_trace_with_pool(self, tmp_path):
-        from repro.fault.sharded import fsim_main
+    def test_fsim_trace(self, tmp_path, capsys):
+        from repro.fault.fsim import fsim_main
 
         target = tmp_path / "fsim.json"
-        assert fsim_main(["s27", "--processes", "2",
-                          "--trace", str(target)]) == 0
+        assert fsim_main(["s27", "--trace", str(target)]) == 0
         assert check_run(str(target)) == []
         trace = json.loads(target.read_text())
         names = {e["name"] for e in trace["traceEvents"]}
-        assert {"cli.fsim", "pool.start", "pool.worker_ready",
-                "pool.fanout", "pool.worker_stopped"} <= names
-        counters = trace["otherData"]["counters"]
-        assert counters.get("pool.swallowed_errors", 0) == 0
+        assert {"cli.fsim", "fsim.stuck_packed"} <= names
 
     def test_untraced_run_records_nothing(self, capsys):
         from repro.fault.atpg_flow import atpg_main

@@ -38,9 +38,9 @@ class TestRecorder:
 
     def test_warning_bumps_named_counter(self):
         rec = Recorder()
-        rec.warning("pool.swallowed_error", counter="pool.swallowed_errors")
-        assert rec.counter("pool.swallowed_errors") == 1
-        assert rec.counter("pool.swallowed_error") == 0
+        rec.warning("cache.corrupt_entry", counter="cache.corrupt_entries")
+        assert rec.counter("cache.corrupt_entries") == 1
+        assert rec.counter("cache.corrupt_entry") == 0
 
     def test_counters_accumulate(self):
         rec = Recorder()

@@ -90,29 +90,24 @@ class TestValidateManifest:
         del manifest["run_id"]
         assert any("run_id" in p for p in validate_manifest(manifest))
 
-    def test_swallowed_errors_fatal(self):
+    def test_null_error_is_clean(self):
         manifest = self.good()
-        manifest["counters"] = {"pool.swallowed_errors": 2}
-        problems = validate_manifest(manifest)
-        assert any("pool.swallowed_errors" in p for p in problems)
+        manifest["error"] = None
+        assert validate_manifest(manifest) == []
 
-    def test_swallowed_errors_waivable(self):
+    def test_error_fails(self):
         manifest = self.good()
-        manifest["counters"] = {"pool.swallowed_errors": 2}
-        assert validate_manifest(manifest,
-                                 fail_on_swallowed=False) == []
+        manifest["error"] = "RuntimeError"
+        assert validate_manifest(manifest) == ["run failed: RuntimeError"]
 
 
 class TestCheckRun:
-    def write(self, tmp_path, mutate_counters=None):
+    def write(self, tmp_path, error=None):
         rec = Recorder()
         with rec.span("s"):
             rec.event("e")
-        if mutate_counters:
-            for name, count in mutate_counters.items():
-                rec.incr(name, count)
         return write_run(rec, str(tmp_path / "run.json"),
-                         command="test")
+                         command="test", error=error)
 
     def test_clean_run_checks_out(self, tmp_path):
         paths = self.write(tmp_path)
@@ -128,13 +123,9 @@ class TestCheckRun:
         problems = check_run(str(path))
         assert any("not valid JSON" in p for p in problems)
 
-    def test_swallowed_counter_fails_the_run(self, tmp_path):
-        paths = self.write(
-            tmp_path, mutate_counters={"pool.swallowed_errors": 1}
-        )
-        problems = check_run(paths["trace"])
-        assert any("pool.swallowed_errors" in p for p in problems)
-        assert check_run(paths["trace"], fail_on_swallowed=False) == []
+    def test_failed_run_fails_the_check(self, tmp_path):
+        paths = self.write(tmp_path, error="KeyError")
+        assert check_run(paths["trace"]) == ["run failed: KeyError"]
 
     def test_missing_manifest_reported(self, tmp_path):
         paths = self.write(tmp_path)

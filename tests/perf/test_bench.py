@@ -24,8 +24,7 @@ class FakeKernel:
     repeats); every call and every check is logged in ``calls``.
     """
 
-    def __init__(self, fast_s, oracle_s, floor=2.0, min_cores=1,
-                 mismatch_at=None):
+    def __init__(self, fast_s, oracle_s, floor=2.0, mismatch_at=None):
         self.now = 0.0
         self.fast_s = list(fast_s)
         self.oracle_s = list(oracle_s)
@@ -33,7 +32,7 @@ class FakeKernel:
         self.entered = self.exited = 0
         self.mismatch_at = mismatch_at
         self.kernel = Kernel("fake", self.setup, self.fast, self.oracle,
-                             self.check, floor=floor, min_cores=min_cores)
+                             self.check, floor=floor)
 
     def clock(self):
         return self.now
@@ -66,8 +65,8 @@ class FakeKernel:
             return "masks differ"
         return None
 
-    def run(self, cores=8):
-        return run_kernel(self.kernel, cores, clock=self.clock)
+    def run(self):
+        return run_kernel(self.kernel, clock=self.clock)
 
 
 def test_pairs_alternate_their_order():
@@ -124,18 +123,6 @@ def test_three_times_slower_fast_side_fails():
     assert slow["ratio_q3"] < 4.0
 
 
-def test_too_few_cores_waive_the_floor_but_not_the_check():
-    fake = FakeKernel([1.0], [1.0], floor=2.5, min_cores=4)
-    row = fake.run(cores=2)
-    assert row["verdict"] == "waived"
-    assert row["note"] == "floor waived: 2 usable core(s) < 4"
-    assert fake.calls.count("check") == row["pairs"]
-
-    mismatch = FakeKernel([1.0], [1.0], min_cores=4, mismatch_at=1)
-    with pytest.raises(AssertionError, match="fake"):
-        mismatch.run(cores=2)
-
-
 def test_identity_mismatch_raises_naming_the_kernel():
     fake = FakeKernel([0.01], [0.3], mismatch_at=2)
     with pytest.raises(AssertionError,
@@ -147,12 +134,12 @@ def test_identity_mismatch_raises_naming_the_kernel():
 
 def _report(verdict):
     return {
-        "schema": 2, "date": "2026-01-01", "python": "3.11",
-        "platform": "test", "usable_cores": 2,
+        "schema": 3, "date": "2026-01-01", "python": "3.11",
+        "platform": "test",
         "kernels": [{
             "kernel": "fake", "pairs": 5, "fast_s": 0.1, "oracle_s": 1.0,
             "ratio": 10.0, "ratio_q1": 9.0, "ratio_q3": 11.0, "floor": 12.0,
-            "min_cores": 1, "verdict": verdict,
+            "verdict": verdict,
             "note": "upper-quartile ratio 11.00x < floor 12x"
             if verdict == "FAIL" else "",
         }],
@@ -161,7 +148,7 @@ def _report(verdict):
 
 def test_render_report():
     text = bench.render_report(_report("FAIL"))
-    assert "2 usable core(s)" in text
+    assert "2026-01-01, python 3.11; ratio = oracle / fast" in text
     assert "fake" in text and "10.00x" in text and "12x" in text
     assert "FAIL (upper-quartile ratio 11.00x < floor 12x)" in text
 

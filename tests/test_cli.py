@@ -6,6 +6,7 @@ import pytest
 
 from repro.__main__ import EXPERIMENTS, main
 from repro.experiments import table2_delay
+from repro.obs import trace_main
 
 
 def test_fig5_runs(capsys):
@@ -39,19 +40,24 @@ def test_all_expands_to_every_experiment():
     }
 
 
-@pytest.mark.parametrize("flag, value", [
-    ("--processes", "0"),
-    ("--processes", "-1"),
-    ("--processes", "2"),
-    ("--task-timeout", "0"),
-    ("--task-timeout", "-1"),
-    ("--task-timeout", "5"),
+@pytest.mark.parametrize("verb, flag, value", [
+    pytest.param("table2", "--processes", "0", id="--processes-0"),
+    pytest.param("table2", "--processes", "-1", id="--processes--1"),
+    pytest.param("table2", "--processes", "2", id="--processes-2"),
+    pytest.param("table2", "--task-timeout", "0", id="--task-timeout-0"),
+    pytest.param("table2", "--task-timeout", "-1", id="--task-timeout--1"),
+    pytest.param("table2", "--task-timeout", "5", id="--task-timeout-5"),
+    pytest.param("atpg", "--processes", "2", id="atpg---processes-2"),
+    pytest.param("atpg", "--speculate", "4", id="atpg---speculate-4"),
+    pytest.param("atpg", "--check-serial", None, id="atpg---check-serial"),
+    pytest.param("fsim", "--processes", "2", id="fsim---processes-2"),
 ])
-def test_bad_knobs_are_usage_errors(capsys, flag, value):
-    """Studies run in-process with no per-circuit knobs: any value of
-    one exits 2 before a study prints."""
+def test_bad_knobs_are_usage_errors(capsys, verb, flag, value):
+    """Every verb runs in one process with no pool knobs: any value of
+    one exits 2 before anything prints."""
+    argv = [verb, flag] + ([value] if value is not None else [])
     with pytest.raises(SystemExit) as excinfo:
-        main(["table2", flag, value])
+        main(argv)
     assert excinfo.value.code == 2
     captured = capsys.readouterr()
     assert flag in captured.err
@@ -67,9 +73,9 @@ def test_quick_is_not_a_verb(capsys):
     assert captured.out == ""
 
 
-def test_failing_circuit_fails_the_verb(capsys, monkeypatch):
+def test_failing_circuit_fails_the_verb(capsys, monkeypatch, tmp_path):
     """One circuit that raises ends ``repro table2`` with that exception
-    and no partial table."""
+    and no partial table, and its trace fails ``repro trace``."""
     real = table2_delay._circuit_result
 
     def circuit_result(name):
@@ -78,9 +84,13 @@ def test_failing_circuit_fails_the_verb(capsys, monkeypatch):
         return real(name)
 
     monkeypatch.setattr(table2_delay, "_circuit_result", circuit_result)
+    trace = str(tmp_path / "fail.json")
     with pytest.raises(RuntimeError, match="boom in s344"):
-        main(["table2"])
+        main(["table2", "--trace", trace])
     assert "Table II" not in capsys.readouterr().out
+    assert trace_main([trace]) == 1
+    out = capsys.readouterr().out
+    assert "INVALID" in out and "run failed: RuntimeError" in out
 
 
 def test_bench_help_available(capsys):
